@@ -15,7 +15,7 @@ on the m-torus:
 plus a CLI (``torusgaps``) exposing all of it.
 """
 
-from .circle import Arc, ArcKind, arcs_overlap, circle_norm, fractional_part, geodesic, signed_deviation
+from .circle import Arc, ArcKind, circle_norm, fractional_part, geodesic, signed_deviation
 from .denominators import (
     ApproximationProfile,
     DenominatorRecord,
@@ -34,9 +34,7 @@ from .denominators import (
 )
 from .gaps import GapSpectrum, chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
 from .tournament import (
-    Edge,
     SurvivorReport,
-    build_edges,
     survivor_bound,
     survivor_bound_alt,
     survivors_brute,
@@ -50,13 +48,10 @@ __all__ = [
     "ArcKind",
     "ApproximationProfile",
     "DenominatorRecord",
-    "Edge",
     "GapSpectrum",
     "SurvivorReport",
     "TypeRelation",
     "approximation_profile",
-    "arcs_overlap",
-    "build_edges",
     "chung_graham_gaps",
     "circle_norm",
     "classify",

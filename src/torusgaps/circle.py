@@ -23,7 +23,6 @@ from .numerics import Real
 __all__ = [
     "Arc",
     "ArcKind",
-    "arcs_overlap",
     "circle_norm",
     "fractional_part",
     "geodesic",
@@ -151,8 +150,3 @@ def geodesic(p: Real, q: Real) -> Arc:
         return Arc.plain(m, M)
     return Arc.wrapped(m, M)
 
-
-def arcs_overlap(a: Arc, b: Arc) -> bool:
-    """Nonempty intersection of two arcs as point sets (endpoint touch is not
-    overlap; the empty arc overlaps nothing)."""
-    return a.overlaps(b)

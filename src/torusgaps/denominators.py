@@ -35,11 +35,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from .circle import fractional_part
 from .numerics import (Real, ceil_sqrt, coerce_components, distinct_values,
-                       frac_array)
+                       kronecker_instance)
 
 __all__ = [
     "ApproximationProfile",
@@ -163,44 +161,31 @@ def relation(q1: int, q2: int, alphas, *, epsilon: float = 1e-9) -> TypeRelation
 
 
 class _Table:
-    """Per-q lengths and sign types for q = 1..n, in the instance's mode.
-
-    The floating path mirrors the tournament engine's expressions exactly so
-    lengths agree bitwise across modules."""
+    """Per-q lengths, comparison keys and sign types for q = 1..n, read off
+    the same ``Instance`` the tournament engines judge, so lengths agree
+    across modules by construction.  Exact keys are the lattice integers
+    L^2 l(q)^2, and {q a_r} - 1/2 >= 0 reads as 2 x >= L there."""
 
     def __init__(self, comps, exact: bool, n: int, epsilon: float):
         self.exact = exact
         self.epsilon = epsilon
         self.comps = comps
+        inst = kronecker_instance(comps, exact, n)
+        self.lengths = inst.lengths
+        self.keys = inst.keys
         if exact:
-            self.sqlens: list[Real] = []
-            self.signs: list[str] = []
-            for q in range(1, n + 1):
-                devs = []
-                sq = Fraction(0)
-                for a in comps:
-                    f = fractional_part(q * a)
-                    sq += min(f, 1 - f) ** 2
-                    devs.append(f - Fraction(1, 2))
-                self.sqlens.append(sq)
-                self.signs.append(_signs_of(devs, True, epsilon))
-            self.lengths = [math.sqrt(float(s)) for s in self.sqlens]
+            pos = 2 * inst.points >= inst.unit
         else:
-            a = np.asarray(comps, dtype=float)
-            F = frac_array(np.arange(1, n + 1, dtype=float)[:, None] * a[None, :])
-            norms = np.minimum(F, 1.0 - F)
-            self.lengths = np.sqrt((norms * norms).sum(axis=1)).tolist()
-            self.sqlens = self.lengths  # comparison key in floating mode
-            dev = F - 0.5
+            dev = inst.points - 0.5
             pos = (dev >= -epsilon) & (dev < 0.5 - epsilon)
-            self.signs = ["".join("+" if p else "-" for p in row) for row in pos]
+        self.signs = ["".join("+" if p else "-" for p in row) for row in pos]
 
     def length(self, q: int) -> float:
         return self.lengths[q - 1]
 
     def key(self, q: int):
-        """Comparison key: exact squared length, or the float length."""
-        return self.sqlens[q - 1] if self.exact else self.lengths[q - 1]
+        """Comparison key: the exact lattice key, or the float length."""
+        return self.keys[q - 1]
 
     def sign(self, q: int) -> str:
         return self.signs[q - 1]

@@ -1,16 +1,20 @@
-"""Shared numeric plumbing: dual-mode coercion, tolerant clustering, integer roots.
+"""Shared numeric plumbing: dual-mode coercion, the Kronecker instance,
+tolerant clustering, integer roots.
 
 Every quantity in this package lives in one of two numeric modes:
 
 * floating point, with a configurable comparison tolerance ``epsilon``;
 * exact rationals, used when every input component is an ``int`` or a
   ``fractions.Fraction``.  In exact mode all comparisons are literal and
-  ``epsilon`` is ignored.
+  ``epsilon`` is ignored.  Kronecker points are then stored as integers on
+  the lattice Z/L, L the common denominator, so exact arithmetic runs on
+  integer arrays instead of Fractions.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Sequence, Union
@@ -60,32 +64,58 @@ def coerce_components(values: Sequence[Real]) -> tuple[list[Real], bool]:
     return out, False
 
 
+# Lattice moduli below this keep every residue, 2L and differences of
+# residues inside int64; larger ones use object arrays of Python ints.
+_INT64_LATTICE = 2 ** 62
+
+
+@dataclass(frozen=True)
+class Instance:
+    """The points ({k a_1}, ..., {k a_m}), k = 1..n, as an (n, m) array
+    ``points``, with the comparison key and display length of each
+    difference q = 1..len(keys) (``keys[q - 1]``).
+
+    Floating mode: points are float64 in [0, 1), ``unit`` is 1.0 and each
+    key is the float length sqrt(sum_r ||q a_r||^2).
+
+    Exact mode: with L the lcm of the denominators and a_r = p_r / L,
+    points are the residues k p_r mod L in [0, L) (int64 when L < 2**62,
+    else an object array of Python ints), ``unit`` is L, and each key is
+    the exact integer sum_r min(x, L - x)^2 = L^2 l(q)^2."""
+
+    points: np.ndarray
+    keys: list
+    lengths: list[float]
+    unit: float | int
+
+    @property
+    def exact(self) -> bool:
+        return self.points.dtype.kind != "f"
+
+
+def kronecker_instance(comps: list[Real], exact: bool, n: int) -> Instance:
+    """The Kronecker instance of k = 1..n for coerced components."""
+    if not exact:
+        a = np.asarray(comps, dtype=float)
+        P = frac_array(np.arange(1, n + 1, dtype=float)[:, None] * a[None, :])
+        norms = np.minimum(P, 1.0 - P)
+        lengths = np.sqrt((norms * norms).sum(axis=1)).tolist()
+        return Instance(P, lengths, lengths, 1.0)
+    L = math.lcm(*(a.denominator for a in comps))
+    steps = [a.numerator * (L // a.denominator) % L for a in comps]
+    rows = [[k * p % L for p in steps] for k in range(1, n + 1)]
+    keys = [sum(min(x, L - x) ** 2 for x in row) for row in rows]
+    sq_unit = L * L
+    points = np.array(rows, dtype=np.int64 if L < _INT64_LATTICE else object)
+    return Instance(points, keys, [math.sqrt(k / sq_unit) for k in keys], L)
+
+
 def ceil_sqrt(n: int) -> int:
     """Smallest integer s with s*s >= n."""
     if n < 0:
         raise ValueError("ceil_sqrt of a negative number")
     s = math.isqrt(n)
     return s if s * s == n else s + 1
-
-
-def group_indices(keys: Sequence[Real], epsilon: float, exact: bool) -> tuple[list[int], int]:
-    """Assign each key a cluster index, clusters ordered by ascending value.
-
-    Clusters are formed on the sorted keys, splitting wherever two adjacent
-    values differ by more than ``epsilon`` (exact mode: wherever they differ
-    at all).  Returns ``(group_id_per_input_position, number_of_groups)``.
-    """
-    order = sorted(range(len(keys)), key=lambda i: keys[i])
-    gids = [0] * len(keys)
-    gid = 0
-    for pos, idx in enumerate(order):
-        if pos > 0:
-            prev = keys[order[pos - 1]]
-            cur = keys[idx]
-            if (cur != prev) if exact else (cur - prev > epsilon):
-                gid += 1
-        gids[idx] = gid
-    return gids, (gid + 1 if keys else 0)
 
 
 def distinct_values(values: Iterable[Real], epsilon: float, exact: bool,

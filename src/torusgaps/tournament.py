@@ -17,41 +17,38 @@ Two independent engines compute S:
 * ``survivors_brute`` applies the defeat relation pairwise and serves as
   the oracle for the sweep.
 
-Edges whose lengths agree within the tolerance form one group and never
-defeat each other (the relation is strictly "shorter beats longer"); a
-group's arcs enter the coverage only after the whole group is judged.
-In floating mode every arc part is shrunk by half the tolerance at both
-ends, on the judged side and the opponent side alike, so intersections of
-measure below the tolerance (floating-point artefacts on rational inputs,
-where exact arithmetic gives empty arcs or exact endpoint touches) never
-count as defeats.
+Both run vectorized over one ``numerics.Instance`` in either numeric
+mode.  Floating mode works on float64 points in [0, 1).  Exact mode works
+on the integer lattice Z/L (L the common denominator), with int64 arrays,
+or object arrays of Python ints once L >= 2**62; there the arithmetic is
+exact and every comparison literal.  The circle has length ``unit``
+(1.0 or L) in both.
+
+Edges whose lengths agree within the tolerance (exactly, in exact mode)
+form one group and never defeat each other (the relation is strictly
+"shorter beats longer"); a group's arcs enter the coverage only after the
+whole group is judged.  In floating mode every arc part is shrunk by half
+the tolerance at both ends, on the judged side and the opponent side
+alike, so intersections of measure below the tolerance (floating-point
+artefacts on rational inputs, where exact arithmetic gives empty arcs or
+exact endpoint touches) never count as defeats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .circle import Arc, geodesic
-from .coverage import ArcCoverage
-from .numerics import (Real, ceil_sqrt, coerce_components, frac_array,
-                       group_indices, is_exact)
+from .numerics import Instance, ceil_sqrt, coerce_components, kronecker_instance
 
 __all__ = [
-    "Edge",
     "SurvivorReport",
-    "build_edges",
-    "brute_over_edges",
     "survivor_bound",
     "survivor_bound_alt",
     "survivors_brute",
     "survivors_sweep",
-    "sweep_over_edges",
 ]
-
-_SENT = 2.0  # encodes an empty interval in the vectorized float paths
 
 
 # ---------------------------------------------------------------------------
@@ -88,25 +85,8 @@ def survivor_bound_alt(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Edge construction
+# Reports
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Edge:
-    """Edge (j, k) with 1 <= j < k <= n, its difference q = k - j, its torus
-    length, and the per-axis geodesic arcs between its endpoints.
-
-    ``sqlen`` is the comparison key: the squared length as an exact Fraction
-    in exact mode, a float otherwise.  ``length`` is always a float, for
-    display."""
-
-    j: int
-    k: int
-    q: int
-    length: float
-    sqlen: Real
-    arcs: tuple[Arc, ...]
-
 
 @dataclass
 class SurvivorReport:
@@ -131,54 +111,6 @@ class SurvivorReport:
     def distinct_count(self) -> int:
         return len(self.distinct_lengths)
 
-
-def _float_instance(alphas: list[float], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Point matrix P[i, r] = {(i+1) a_r} and per-difference lengths."""
-    a = np.asarray(alphas, dtype=float)
-    P = frac_array(np.arange(1, n + 1, dtype=float)[:, None] * a[None, :])
-    Pq = P[: n - 1]
-    norms = np.minimum(Pq, 1.0 - Pq)
-    lengths = np.sqrt((norms * norms).sum(axis=1))
-    return P, lengths
-
-
-def build_edges(alphas, n: int) -> list[Edge]:
-    """All n(n-1)/2 edges with lengths and per-axis geodesics populated."""
-    comps, exact = coerce_components(alphas)
-    if n < 2:
-        raise ValueError("n must be >= 2 (no edges otherwise)")
-    if exact:
-        pts = []
-        for a in comps:
-            num, den = a.numerator, a.denominator
-            pts.append([Fraction(k * num % den, den) for k in range(1, n + 1)])
-        sqlens: list[Real] = []
-        lengths = []
-        for q in range(1, n):
-            sq = Fraction(0)
-            for axis in pts:
-                f = axis[q - 1]
-                norm = min(f, 1 - f)
-                sq += norm * norm
-            sqlens.append(sq)
-            lengths.append(float(sq) ** 0.5)
-    else:
-        P, lens = _float_instance(comps, n)
-        pts = [P[:, r].tolist() for r in range(len(comps))]
-        lengths = lens.tolist()
-        sqlens = [x * x for x in lengths]
-    edges = []
-    for j in range(1, n):
-        for k in range(j + 1, n + 1):
-            q = k - j
-            arcs = tuple(geodesic(axis[j - 1], axis[k - 1]) for axis in pts)
-            edges.append(Edge(j, k, q, lengths[q - 1], sqlens[q - 1], arcs))
-    return edges
-
-
-# ---------------------------------------------------------------------------
-# Report assembly (shared by every engine)
-# ---------------------------------------------------------------------------
 
 def _assemble_report(alive: list[tuple[int, float, int, int]], total_edges: int,
                      mode: str, exact: bool) -> SurvivorReport:
@@ -209,104 +141,19 @@ def _assemble_report(alive: list[tuple[int, float, int, int]], total_edges: int,
 
 
 # ---------------------------------------------------------------------------
-# Pure-Python engines (exact mode, synthetic edge lists)
-# ---------------------------------------------------------------------------
-
-def _edge_groups(edges: list[Edge], epsilon: float) -> tuple[list[int], int, bool]:
-    exact = all(is_exact(e.sqlen) for e in edges)
-    keys = [e.sqlen if exact else e.length for e in edges]
-    gids, ngroups = group_indices(keys, epsilon, exact)
-    return gids, ngroups, exact
-
-
-def _shrunk_parts(arc: Arc, shrink) -> list[tuple[Real, Real]]:
-    out = []
-    for s, e in arc.parts():
-        qs, qe = s + shrink, e - shrink
-        if qs < qe:
-            out.append((qs, qe))
-    return out
-
-
-def sweep_over_edges(edges: list[Edge], *, epsilon: float = 1e-9) -> SurvivorReport:
-    """Grouped-sweep tournament over an explicit edge list.
-
-    Used directly for exact-rational instances and for constructed edge
-    sets in tests; Kronecker instances in floating mode go through the
-    vectorized path in ``survivors_sweep``."""
-    if not edges:
-        raise ValueError("no edges to judge")
-    m = len(edges[0].arcs)
-    gids, ngroups, exact = _edge_groups(edges, epsilon)
-    shrink = 0 if exact else epsilon / 2
-    by_group: list[list[int]] = [[] for _ in range(ngroups)]
-    for i, g in enumerate(gids):
-        by_group[g].append(i)
-    coverages = [ArcCoverage() for _ in range(m)]
-    alive = [False] * len(edges)
-    for idxs in by_group:
-        parts = {i: [_shrunk_parts(arc, shrink) for arc in edges[i].arcs]
-                 for i in idxs}
-        for i in idxs:
-            defeated = False
-            for r in range(m):
-                cov = coverages[r]
-                if any(cov.overlaps(qs, qe) for qs, qe in parts[i][r]):
-                    defeated = True
-                    break
-            alive[i] = not defeated
-        for i in idxs:
-            for r in range(m):
-                for s, e in parts[i][r]:
-                    coverages[r].insert(s, e)
-    kept = [(gids[i], edges[i].length, edges[i].j, edges[i].k)
-            for i in range(len(edges)) if alive[i]]
-    return _assemble_report(kept, len(edges), "sweep", exact)
-
-
-def brute_over_edges(edges: list[Edge], *, epsilon: float = 1e-9) -> SurvivorReport:
-    """Pairwise tournament over an explicit edge list: an edge survives iff
-    no edge from a strictly shorter length group overlaps it on any axis."""
-    if not edges:
-        raise ValueError("no edges to judge")
-    gids, _, exact = _edge_groups(edges, epsilon)
-    shrink = 0 if exact else epsilon / 2
-    order = sorted(range(len(edges)), key=lambda i: gids[i])
-    shrunk = [[_shrunk_parts(arc, shrink) for arc in e.arcs] for e in edges]
-    alive = [True] * len(edges)
-    for i, e in enumerate(edges):
-        g = gids[i]
-        mine = shrunk[i]
-        for o in order:
-            if gids[o] >= g:
-                break
-            hit = False
-            for r, parts in enumerate(mine):
-                opp = shrunk[o][r]
-                if any(max(a, c) < min(b, d) for a, b in parts for c, d in opp):
-                    hit = True
-                    break
-            if hit:
-                alive[i] = False
-                break
-    kept = [(gids[i], edges[i].length, edges[i].j, edges[i].k)
-            for i in range(len(edges)) if alive[i]]
-    return _assemble_report(kept, len(edges), "brute", exact)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized floating-point engines
+# Vectorized engines
 # ---------------------------------------------------------------------------
 
 class _FloatCoverage:
-    """Numpy twin of ArcCoverage: disjoint sorted intervals with batch
-    queries and batch insert-with-merge."""
+    """Disjoint sorted half-open intervals with batch queries and batch
+    insert-with-merge, in the element type of the instance (float64, int64
+    or object); merging touching intervals is exact as point sets."""
 
     __slots__ = ("starts", "ends")
 
-    def __init__(self) -> None:
-        self.starts = np.empty(0)
-        self.ends = np.empty(0)
+    def __init__(self, dtype) -> None:
+        self.starts = np.empty(0, dtype=dtype)
+        self.ends = np.empty(0, dtype=dtype)
 
     def query(self, qs: np.ndarray, qe: np.ndarray) -> np.ndarray:
         if len(self.starts) == 0:
@@ -338,48 +185,62 @@ class _FloatCoverage:
         self.ends = reach[last_of_run]
 
 
-def _axis_components(pj: np.ndarray, pk: np.ndarray, shrink: float):
-    """Half-open components of the geodesics between paired points, each
-    shrunk by ``shrink`` at both ends.
+def _axis_components(pj: np.ndarray, pk: np.ndarray, unit, shrink):
+    """Half-open components of the geodesics between paired points on a
+    circle of length ``unit``, each shrunk by ``shrink`` at both ends.
 
-    Returns (c1s, c1e, c2s, c2e); components that are empty (or vanish
-    under shrinking) carry the sentinel so they never register an overlap
-    in vectorized comparisons."""
+    Returns (c1s, c1e, c2s, c2e) in the points' element type; components
+    that are empty (or vanish under shrinking) carry the sentinel 2*unit,
+    so they never register an overlap in vectorized comparisons."""
+    # Scalars of the unit's own type keep np.where on its fast paths.
+    zero, sent, top = 0 * unit, 2 * unit, unit - shrink
+    if pj.dtype == object:  # two Python-int scalars would select int64
+        top = np.asarray(top, dtype=object)
+    # The arc wraps when 2 (hi - lo) > unit: hi - lo > 1/2 on floats, and
+    # hi - lo > floor(L/2) on the lattice, where hi - lo is an integer.
+    half = unit / 2 if isinstance(unit, float) else unit // 2
     lo = np.minimum(pj, pk)
     hi = np.maximum(pj, pk)
-    wrap = (hi - lo) > 0.5
-    c1s = np.where(wrap, 0.0, lo) + shrink
+    wrap = (hi - lo) > half
+    c1s = np.where(wrap, zero, lo) + shrink
     c1e = np.where(wrap, lo, hi) - shrink
-    c2s = np.where(wrap, hi + shrink, _SENT)
-    c2e = np.where(wrap, 1.0 - shrink, _SENT)
+    c2s = np.where(wrap, hi + shrink, sent)
+    c2e = np.where(wrap, top, sent)
     bad1 = c1s >= c1e
-    c1s = np.where(bad1, _SENT, c1s)
-    c1e = np.where(bad1, _SENT, c1e)
+    c1s = np.where(bad1, sent, c1s)
+    c1e = np.where(bad1, sent, c1e)
     bad2 = c2s >= c2e
-    c2s = np.where(bad2, _SENT, c2s)
-    c2e = np.where(bad2, _SENT, c2e)
+    c2s = np.where(bad2, sent, c2s)
+    c2e = np.where(bad2, sent, c2e)
     return c1s, c1e, c2s, c2e
 
 
-def _q_groups(lengths: np.ndarray, epsilon: float) -> tuple[np.ndarray, list[list[int]]]:
-    """Cluster the per-difference lengths; groups come back ascending."""
-    order = np.argsort(lengths, kind="stable")
-    gids = np.zeros(len(lengths), dtype=np.int64)
-    groups: list[list[int]] = [[int(order[0])]]
+def _q_groups(keys: list, epsilon: float) -> list[list[int]]:
+    """Cluster the per-difference keys (indices q - 1); groups come back
+    ascending.  Sorted in Python: numpy would turn exact keys on both sides
+    of 2**63 into float64 and misorder them."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    groups: list[list[int]] = [[order[0]]]
     for prev, cur in zip(order[:-1], order[1:]):
-        if lengths[cur] - lengths[prev] > epsilon:
+        if keys[cur] - keys[prev] > epsilon:
             groups.append([])
-        gids[cur] = len(groups) - 1
-        groups[-1].append(int(cur))
-    return gids, groups
+        groups[-1].append(cur)
+    return groups
 
 
-def _sweep_float(alphas: list[float], n: int, epsilon: float) -> SurvivorReport:
-    P, lengths = _float_instance(alphas, n)
+def _judging(inst: Instance, epsilon: float):
+    """(points, n, unit, shrink, groups) of an instance's edges: exact
+    instances group by equal keys and shrink nothing."""
+    P = inst.points
+    n = P.shape[0]
+    tol, shrink = (0, 0) if inst.exact else (epsilon, epsilon / 2)
+    return P, n, inst.unit, shrink, _q_groups(inst.keys[: n - 1], tol)
+
+
+def _sweep(inst: Instance, epsilon: float) -> SurvivorReport:
+    P, n, unit, shrink, groups = _judging(inst, epsilon)
     m = P.shape[1]
-    shrink = epsilon / 2
-    gids, groups = _q_groups(lengths, epsilon)
-    coverages = [_FloatCoverage() for _ in range(m)]
+    coverages = [_FloatCoverage(P.dtype) for _ in range(m)]
     alive: list[tuple[int, float, int, int]] = []
     for gid, group in enumerate(groups):
         pending: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(m)]
@@ -388,27 +249,25 @@ def _sweep_float(alphas: list[float], n: int, epsilon: float) -> SurvivorReport:
             cnt = n - q
             defeated = np.zeros(cnt, dtype=bool)
             for r in range(m):
-                c1s, c1e, c2s, c2e = _axis_components(P[0:cnt, r], P[q:n, r], shrink)
+                c1s, c1e, c2s, c2e = _axis_components(P[0:cnt, r], P[q:n, r], unit, shrink)
                 cov = coverages[r]
                 defeated |= cov.query(c1s, c1e)
                 defeated |= cov.query(c2s, c2e)
                 pending[r].append((np.concatenate([c1s, c2s]),
                                    np.concatenate([c1e, c2e])))
-            ln = float(lengths[qi])
+            ln = inst.lengths[qi]
             for idx in np.flatnonzero(~defeated):
                 alive.append((gid, ln, int(idx) + 1, int(idx) + 1 + q))
         for r in range(m):
             s = np.concatenate([p[0] for p in pending[r]])
             e = np.concatenate([p[1] for p in pending[r]])
             coverages[r].insert_many(s, e)
-    return _assemble_report(alive, n * (n - 1) // 2, "sweep", False)
+    return _assemble_report(alive, n * (n - 1) // 2, "sweep", inst.exact)
 
 
-def _brute_float(alphas: list[float], n: int, epsilon: float) -> SurvivorReport:
-    P, lengths = _float_instance(alphas, n)
+def _brute(inst: Instance, epsilon: float) -> SurvivorReport:
+    P, n, unit, shrink, groups = _judging(inst, epsilon)
     m = P.shape[1]
-    shrink = epsilon / 2
-    gids_q, groups = _q_groups(lengths, epsilon)
     # Flatten edges ordered by (group, q, j) so each edge's potential
     # defeaters form a prefix of the arrays.
     comp_s = [[] for _ in range(m)]
@@ -422,10 +281,10 @@ def _brute_float(alphas: list[float], n: int, epsilon: float) -> SurvivorReport:
             q = qi + 1
             cnt = n - q
             for r in range(m):
-                c1s, c1e, c2s, c2e = _axis_components(P[0:cnt, r], P[q:n, r], shrink)
+                c1s, c1e, c2s, c2e = _axis_components(P[0:cnt, r], P[q:n, r], unit, shrink)
                 comp_s[r].append(np.stack([c1s, c2s]))
                 comp_e[r].append(np.stack([c1e, c2e]))
-            ln = float(lengths[qi])
+            ln = inst.lengths[qi]
             edge_meta.extend((gid, ln, idx + 1, idx + 1 + q) for idx in range(cnt))
             count += cnt
     S = [np.concatenate(comp_s[r], axis=1) for r in range(m)]  # (2, E)
@@ -449,7 +308,7 @@ def _brute_float(alphas: list[float], n: int, epsilon: float) -> SurvivorReport:
                     break
         if not defeated:
             alive.append((gid, ln, j, k))
-    return _assemble_report(alive, len(edge_meta), "brute", False)
+    return _assemble_report(alive, len(edge_meta), "brute", inst.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +320,7 @@ def survivors_sweep(alphas, n: int, *, epsilon: float = 1e-9) -> SurvivorReport:
     comps, exact = coerce_components(alphas)
     if n < 2:
         raise ValueError("n must be >= 2")
-    if exact:
-        return sweep_over_edges(build_edges(comps, n), epsilon=epsilon)
-    return _sweep_float(comps, n, epsilon)
+    return _sweep(kronecker_instance(comps, exact, n), epsilon)
 
 
 def survivors_brute(alphas, n: int, *, epsilon: float = 1e-9,
@@ -477,6 +334,4 @@ def survivors_brute(alphas, n: int, *, epsilon: float = 1e-9,
         raise ValueError("n must be >= 2")
     if n > oracle_cap:
         raise ValueError(f"n={n} exceeds the oracle cap {oracle_cap}")
-    if exact:
-        return brute_over_edges(build_edges(comps, n), epsilon=epsilon)
-    return _brute_float(comps, n, epsilon)
+    return _brute(kronecker_instance(comps, exact, n), epsilon)

@@ -98,8 +98,8 @@ def test_classical_verifiers_500_trials():
 
 def test_exact_vs_floating_agreement_200_instances():
     report = dual_mode_agreement(instances=200, seed=SEED + 5,
-                                 max_denominator=50, epsilon=1e-9)
-    criterion("exactness: 200 rational instances (q <= 50), exact and "
+                                 max_denominator=50, max_n=120, epsilon=1e-9)
+    criterion("exactness: 200 rational instances (q <= 50, n <= 120), exact and "
               "floating modes give identical survivor sets and q1/q2",
               report.passed, mismatches=len(report.mismatches))
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from torusgaps.circle import (
     Arc,
     ArcKind,
-    arcs_overlap,
     circle_norm,
     fractional_part,
     geodesic,
@@ -97,9 +96,9 @@ def test_geodesic_measure_is_circle_distance(p, q):
 
 
 def test_overlap_examples():
-    assert not arcs_overlap(Arc.plain(0.1, 0.3), Arc.plain(0.3, 0.5))
-    assert arcs_overlap(Arc.plain(0.1, 0.4), Arc.plain(0.3, 0.5))
-    assert arcs_overlap(Arc.wrapped(0.2, 0.9), Arc.plain(0.15, 0.3))
+    assert not Arc.plain(0.1, 0.3).overlaps(Arc.plain(0.3, 0.5))
+    assert Arc.plain(0.1, 0.4).overlaps(Arc.plain(0.3, 0.5))
+    assert Arc.wrapped(0.2, 0.9).overlaps(Arc.plain(0.15, 0.3))
 
 
 def test_overlap_wrapped_against_grid_oracle():
@@ -108,19 +107,19 @@ def test_overlap_wrapped_against_grid_oracle():
     p = Arc.plain(0.15, 0.3)
     grid = [i / 10000 for i in range(10000)]
     shared = [x for x in grid if w.contains(x) and p.contains(x)]
-    assert bool(shared) == arcs_overlap(w, p)
+    assert bool(shared) == w.overlaps(p)
     untouched = Arc.plain(0.35, 0.6)
     shared = [x for x in grid if w.contains(x) and untouched.contains(x)]
-    assert not shared and not arcs_overlap(w, untouched)
+    assert not shared and not w.overlaps(untouched)
 
 
 @given(unit_fracs, unit_fracs, unit_fracs, unit_fracs)
 def test_overlap_symmetric_and_reflexive(p1, q1, p2, q2):
     a, b = geodesic(p1, q1), geodesic(p2, q2)
-    assert arcs_overlap(a, b) == arcs_overlap(b, a)
+    assert a.overlaps(b) == b.overlaps(a)
     if a.kind is not ArcKind.EMPTY:
-        assert arcs_overlap(a, a)
-    assert not arcs_overlap(a, Arc.empty())
+        assert a.overlaps(a)
+    assert not a.overlaps(Arc.empty())
 
 
 def test_plain_degenerate_bounds_collapse_to_empty():

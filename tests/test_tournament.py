@@ -5,16 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torusgaps.circle import Arc, ArcKind, circle_norm
+from torusgaps.circle import circle_norm, fractional_part, geodesic
+from torusgaps.numerics import Instance, kronecker_instance
 from torusgaps.tournament import (
-    Edge,
-    brute_over_edges,
-    build_edges,
+    _axis_components,
+    _brute,
+    _q_groups,
+    _sweep,
     survivor_bound,
     survivor_bound_alt,
     survivors_brute,
     survivors_sweep,
-    sweep_over_edges,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -35,39 +36,31 @@ def test_survivor_bound_alt_variant():
         survivor_bound_alt(0)
 
 
-def test_build_edges_single_pair():
-    edges = build_edges([0.3, 0.4], 2)
-    assert len(edges) == 1
-    e = edges[0]
-    assert (e.j, e.k, e.q) == (1, 2, 1)
-    assert e.length == pytest.approx(0.5)
-    assert len(e.arcs) == 2
+def engines(inst, epsilon=1e-9):
+    """Sweep and brute reports for an explicit instance."""
+    return _sweep(inst, epsilon), _brute(inst, epsilon)
 
 
-def test_build_edges_zero_length_edge():
-    edges = build_edges([0.5], 3)
-    by_pair = {(e.j, e.k): e for e in edges}
-    assert by_pair[(1, 2)].length == pytest.approx(0.5)
-    assert by_pair[(2, 3)].length == pytest.approx(0.5)
-    assert by_pair[(1, 3)].length == pytest.approx(0.0)
-    assert by_pair[(1, 3)].arcs[0].kind is ArcKind.EMPTY
+def float_instance(columns, keys):
+    """An instance with arbitrary points (one list per axis) and arbitrary
+    keys for q = 1..n-1, to place arcs and lengths independently."""
+    points = np.array(columns, dtype=float).T
+    return Instance(points, list(keys), list(keys), 1.0)
 
 
-def test_build_edges_lengths_by_difference():
-    edges = build_edges([0.3], 4)
-    assert len(edges) == 6
-    expect = {1: 0.3, 2: 0.4, 3: 0.1}
-    for e in edges:
-        assert e.length == pytest.approx(expect[e.q])
-        # length is a function of q alone
-        assert e.length == pytest.approx(circle_norm(e.q * 0.3), abs=1e-12)
-
-
-def test_build_edges_validation():
-    with pytest.raises(ValueError):
-        build_edges([0.3], 1)
-    with pytest.raises(ValueError):
-        build_edges([], 5)
+def reference_survivors(alphas, n):
+    """The defeat relation read literally on Fractions, with ``geodesic``
+    arcs: an edge survives iff no edge of strictly smaller squared length
+    overlaps it on some axis."""
+    pts = [[fractional_part(k * a) for a in alphas] for k in range(1, n + 1)]
+    sq = {q: sum(circle_norm(q * a) ** 2 for a in alphas) for q in range(1, n)}
+    edges = [(j, k) for j in range(1, n) for k in range(j + 1, n + 1)]
+    arcs = {(j, k): [geodesic(pj, pk) for pj, pk in zip(pts[j - 1], pts[k - 1])]
+            for j, k in edges}
+    return [e for e in edges
+            if not any(sq[o[1] - o[0]] < sq[e[1] - e[0]]
+                       and any(x.overlaps(y) for x, y in zip(arcs[e], arcs[o]))
+                       for o in edges)]
 
 
 def test_three_point_instance_keeps_wrapping_long_edge():
@@ -99,6 +92,13 @@ def test_zero_length_edges_survive_and_defeat_nothing():
     assert 0.0 in report.distinct_lengths
     brute = survivors_brute([0.5, 0.5], 4)
     assert brute.survivors == report.survivors
+    # Points 0.5, 0, 0.5: the q=2 edge joins coincident points, so its arc
+    # is empty; it survives at length 0 and the two half-circle edges too.
+    for alpha in (0.5, Fraction(1, 2)):
+        for report in (survivors_sweep([alpha], 3), survivors_brute([alpha], 3)):
+            assert report.survivors == [(1, 2), (1, 3), (2, 3)]
+            assert dict(zip(report.survivors, report.survivor_lengths)) == {
+                (1, 2): 0.5, (1, 3): 0.0, (2, 3): 0.5}
 
 
 def test_oracle_cap_enforced():
@@ -126,6 +126,15 @@ def test_survivor_lengths_come_from_difference_lengths():
              for q in range(1, n)}
     for (j, k), ln in zip(r.survivors, r.survivor_lengths):
         assert ln == pytest.approx(table[k - j], abs=1e-12)
+    # Points 0.3, 0.6, 0.9, 0.2, in both modes.
+    expect = {1: 0.3, 2: 0.4, 3: 0.1}
+    for alpha, exact in ((0.3, False), (Fraction(3, 10), True)):
+        inst = kronecker_instance([alpha], exact, 4)
+        assert inst.lengths[:3] == pytest.approx([0.3, 0.4, 0.1], abs=1e-12)
+        r = survivors_sweep([alpha], 4)
+        assert r.survivor_count + r.defeated_count == 6
+        for (j, k), ln in zip(r.survivors, r.survivor_lengths):
+            assert ln == pytest.approx(expect[k - j], abs=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -149,19 +158,6 @@ def test_bound_holds_on_random_instances():
             assert r.distinct_count <= survivor_bound(m)
 
 
-def test_pure_python_engines_match_vectorized_paths():
-    rng = np.random.default_rng(9)
-    for m in (1, 2):
-        for _ in range(10):
-            n = int(rng.integers(2, 25))
-            alphas = rng.random(m).tolist()
-            edges = build_edges(alphas, n)
-            assert (sweep_over_edges(edges).survivors
-                    == survivors_sweep(alphas, n).survivors)
-            assert (brute_over_edges(edges).survivors
-                    == survivors_brute(alphas, n).survivors)
-
-
 def test_exact_mode_agrees_with_brute_and_float():
     alphas = [Fraction(5, 17), Fraction(3, 11)]
     n = 20
@@ -175,53 +171,55 @@ def test_exact_mode_agrees_with_brute_and_float():
 
 
 def test_edge_order_does_not_change_the_outcome():
-    edges = build_edges([0.31, 0.47], 12)
-    base = sweep_over_edges(edges)
-    shuffled = edges[:]
-    random.Random(5).shuffle(shuffled)
-    assert sweep_over_edges(shuffled).survivors == base.survivors
-    assert brute_over_edges(shuffled).survivors == base.survivors
+    # Reversing the point order (j -> n + 1 - j) maps every edge to one with
+    # the same arcs and length, so the engines meet each group's edges in
+    # the opposite order; the outcome must map the same way.
+    n = 12
+    for alphas, exact in (([0.31, 0.47], False), ([Fraction(5, 17), Fraction(3, 11)], True)):
+        inst = kronecker_instance(alphas, exact, n)
+        flipped = Instance(inst.points[::-1].copy(), inst.keys, inst.lengths, inst.unit)
+        base = survivors_sweep(alphas, n).survivors
+        mirrored = sorted((n + 1 - k, n + 1 - j) for j, k in base)
+        for report in engines(flipped):
+            assert report.survivors == mirrored
 
 
 def test_added_shorter_overlapping_edge_defeats_a_survivor():
-    edges = build_edges([0.3], 4)
-    base = sweep_over_edges(edges)
-    target = base.witnesses[-1][1]  # a surviving edge with the largest length
-    victim = next(e for e in edges if (e.j, e.k) == target)
-    s, t = victim.arcs[0].parts()[0]
-    mid = (s + t) / 2
-    intruder = Edge(j=90, k=91, q=1, length=victim.length / 4,
-                    sqlen=(victim.length / 4) ** 2,
-                    arcs=(Arc.plain(mid, min(t, mid + (t - s) / 4)),))
-    judged = sweep_over_edges(edges + [intruder])
-    assert target not in judged.survivors
-    assert (90, 91) in judged.survivors
-    assert brute_over_edges(edges + [intruder]).survivors == judged.survivors
+    # Points 0.1, 0.5, 0.2: the q=2 edge's arc [0.1, 0.2) lies inside the
+    # q=1 edge (1, 2) with arc [0.1, 0.5).
+    points = [[0.1, 0.5, 0.2]]
+    for report in engines(float_instance(points, [0.3, 0.4])):
+        assert report.survivors == [(1, 2), (2, 3)]
+    # Made shorter than q=1, the intruder defeats (1, 2) and survives.
+    for report in engines(float_instance(points, [0.3, 0.05])):
+        assert report.survivors == [(1, 3), (2, 3)]
 
 
 def test_equal_length_edges_do_not_defeat_each_other():
-    # Two edges of identical length whose arcs overlap must both survive.
-    e1 = Edge(1, 2, 1, 0.2, 0.04, (Arc.plain(0.1, 0.3),))
-    e2 = Edge(2, 3, 1, 0.2, 0.04, (Arc.plain(0.2, 0.4),))
-    for engine in (sweep_over_edges, brute_over_edges):
-        assert engine([e1, e2]).survivor_count == 2
+    # Points 0.1, 0.3, 0.2: all three arcs overlap pairwise.  With equal
+    # keys nobody is strictly shorter, so all survive; with q=1 shorter,
+    # both q=1 edges defeat the q=2 edge and still not each other.
+    points = [[0.1, 0.3, 0.2]]
+    for report in engines(float_instance(points, [0.2, 0.2])):
+        assert report.survivor_count == 3
+    for report in engines(float_instance(points, [0.2, 0.3])):
+        assert report.survivors == [(1, 2), (2, 3)]
 
 
 def test_defeat_requires_only_one_overlapping_axis():
-    short = Edge(1, 2, 1, 0.1, 0.01,
-                 (Arc.plain(0.1, 0.2), Arc.plain(0.5, 0.6)))
-    tall = Edge(2, 3, 1, 0.5, 0.25,
-                (Arc.plain(0.15, 0.4), Arc.plain(0.8, 0.9)))
-    for engine in (sweep_over_edges, brute_over_edges):
-        report = engine([short, tall])
-        assert report.survivors == [(1, 2)]
+    # The q=1 edges overlap the q=2 edge on axis 0 only.
+    points = [[0.1, 0.2, 0.15], [0.5, 0.6, 0.9]]
+    for report in engines(float_instance(points, [0.1, 0.5])):
+        assert report.survivors == [(1, 2), (2, 3)]
+        assert report.defeated_count == 1
 
 
 def test_validation_of_engine_inputs():
-    with pytest.raises(ValueError):
-        sweep_over_edges([])
-    with pytest.raises(ValueError):
-        survivors_sweep([0.4], 1)
+    for engine in (survivors_sweep, survivors_brute):
+        with pytest.raises(ValueError):
+            engine([0.4], 1)
+        with pytest.raises(ValueError):
+            engine([], 5)
 
 
 def test_exact_mode_randomized_equivalence():
@@ -251,3 +249,68 @@ def test_zero_epsilon_is_allowed():
     swept = survivors_sweep([0.31, 0.47], 15, epsilon=0.0)
     brute = survivors_brute([0.31, 0.47], 15, epsilon=0.0)
     assert swept.survivors == brute.survivors
+
+
+# Exact instances on the lattice Z/L, across the element types it can take.
+LATTICE_CASES = {
+    # L = 7 (2**64 + 13) > 2**62: object arrays of Python ints
+    "object": ([Fraction(12345678901234567891, 2 ** 64 + 13), Fraction(5, 7)], object),
+    # 2**31 < L = 3 * 2**40 < 2**62
+    "int64_wide": ([Fraction(1234567890123, 3 * 2 ** 40), Fraction(987654321, 2 ** 40)],
+                   np.int64),
+    # L = 2**62 - 1: k * p_r passes 2**63 long before k = n
+    "int64_top": ([Fraction(2 ** 61 + 1, 2 ** 62 - 1)], np.int64),
+    "integers": ([0, 3], np.int64),  # L = 1: every point is 0
+    "negative": ([Fraction(-1, 3), Fraction(-7, 5)], np.int64),
+    "non_reduced": ([Fraction(4, 6), Fraction(10, 25)], np.int64),
+    "m3": ([Fraction(5, 17), Fraction(3, 11), Fraction(7, 13)], np.int64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATTICE_CASES))
+def test_exact_lattice_engines_agree_with_reference(case):
+    alphas, dtype = LATTICE_CASES[case]
+    n = 12
+    inst = kronecker_instance([Fraction(a) for a in alphas], True, n)
+    assert inst.exact and inst.points.dtype == dtype
+    assert ((inst.points >= 0) & (inst.points < inst.unit)).all()
+    swept = survivors_sweep(alphas, n)
+    brute = survivors_brute(alphas, n)
+    assert swept.exact and brute.exact
+    assert swept.survivors == brute.survivors == reference_survivors(alphas, n)
+    assert swept.distinct_lengths == brute.distinct_lengths
+    assert swept.survivor_lengths == brute.survivor_lengths
+
+
+def test_lattice_special_generators():
+    # Integer generators put every point at 0: all edges have length 0.
+    r = survivors_sweep([0, 3], 6)
+    assert r.survivor_count == 15 and r.distinct_lengths == [0.0]
+    # -1/3 = 2/3 and -7/5 = 3/5 mod 1; 4/6 is 2/3.
+    same = survivors_sweep([Fraction(2, 3), Fraction(3, 5)], 12).survivors
+    assert survivors_sweep([Fraction(-1, 3), Fraction(-7, 5)], 12).survivors == same
+    assert survivors_sweep([Fraction(4, 6), Fraction(3, 5)], 12).survivors == same
+
+
+@pytest.mark.parametrize("L", [12, 2 ** 62 - 1, 2 ** 70 + 1])
+def test_lattice_arcs_match_geodesic(L):
+    rng = random.Random(L % 1000)
+    pairs = [(0, 0), (0, L // 2), (L // 4, L // 4 + L // 2), (L - 1, 0)]
+    pairs += [(rng.randrange(L), rng.randrange(L)) for _ in range(200)]
+    dtype = np.int64 if L < 2 ** 62 else object
+    pj = np.array([x for x, _ in pairs], dtype=dtype)
+    pk = np.array([y for _, y in pairs], dtype=dtype)
+    c1s, c1e, c2s, c2e = _axis_components(pj, pk, L, 0)
+    assert {c.dtype for c in (c1s, c1e, c2s, c2e)} == {np.dtype(dtype)}
+    for i, (x, y) in enumerate(pairs):
+        got = [(int(s), int(e)) for s, e in ((c1s[i], c1e[i]), (c2s[i], c2e[i]))
+               if s != 2 * L]
+        want = [(s * L, e * L) for s, e in geodesic(Fraction(x, L), Fraction(y, L)).parts()]
+        assert sorted(got) == sorted(want)
+
+
+def test_exact_keys_group_in_exact_order():
+    # Lattice keys reach m (L/2)^2, past 2**63 once L > 2**32; as one numpy
+    # array, keys on both sides of 2**63 would become float64 and tie.
+    keys = [2 ** 63 + 5, 5, 2 ** 63 + 1, 2 ** 63 + 1, 2 ** 200]
+    assert _q_groups(keys, 0) == [[1], [2, 3], [0], [4]]
