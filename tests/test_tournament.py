@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from torusgaps.circle import circle_norm, fractional_part, geodesic
-from torusgaps.numerics import Instance, kronecker_instance
+from torusgaps.numerics import Instance, coerce_components, kronecker_instance
 from torusgaps.tournament import (
     _axis_components,
     _brute,
@@ -92,9 +92,18 @@ def test_zero_length_edges_survive_and_defeat_nothing():
     assert 0.0 in report.distinct_lengths
     brute = survivors_brute([0.5, 0.5], 4)
     assert brute.survivors == report.survivors
-    # Points 0.5, 0, 0.5: the q=2 edge joins coincident points, so its arc
-    # is empty; it survives at length 0 and the two half-circle edges too.
-    for alpha in (0.5, Fraction(1, 2)):
+
+
+def test_build_edges_zero_length_edge():
+    # Points 0.5, 0, 0.5: the q=2 edge joins coincident points, so it has
+    # length 0 and an empty arc; it survives, and the two half-circle edges
+    # too.
+    for alpha, exact in ((0.5, False), (Fraction(1, 2), True)):
+        inst = kronecker_instance([alpha], exact, 3)
+        assert inst.lengths[:2] == [0.5, 0.0]
+        unit, shrink = inst.unit, (0 if exact else 1e-9 / 2)
+        parts = _axis_components(inst.points[0:1, 0], inst.points[2:3, 0], unit, shrink)
+        assert [int(c[0]) if exact else float(c[0]) for c in parts] == [2 * unit] * 4
         for report in (survivors_sweep([alpha], 3), survivors_brute([alpha], 3)):
             assert report.survivors == [(1, 2), (1, 3), (2, 3)]
             assert dict(zip(report.survivors, report.survivor_lengths)) == {
@@ -126,15 +135,21 @@ def test_survivor_lengths_come_from_difference_lengths():
              for q in range(1, n)}
     for (j, k), ln in zip(r.survivors, r.survivor_lengths):
         assert ln == pytest.approx(table[k - j], abs=1e-12)
-    # Points 0.3, 0.6, 0.9, 0.2, in both modes.
+
+
+def test_build_edges_lengths_by_difference():
+    # Points 0.3, 0.6, 0.9, 0.2, in both modes: six edges whose length is
+    # a function of q = k - j alone.
     expect = {1: 0.3, 2: 0.4, 3: 0.1}
     for alpha, exact in ((0.3, False), (Fraction(3, 10), True)):
         inst = kronecker_instance([alpha], exact, 4)
         assert inst.lengths[:3] == pytest.approx([0.3, 0.4, 0.1], abs=1e-12)
-        r = survivors_sweep([alpha], 4)
-        assert r.survivor_count + r.defeated_count == 6
-        for (j, k), ln in zip(r.survivors, r.survivor_lengths):
-            assert ln == pytest.approx(expect[k - j], abs=1e-12)
+        for q in expect:
+            assert inst.lengths[q - 1] == pytest.approx(circle_norm(q * 0.3), abs=1e-12)
+        for r in (survivors_sweep([alpha], 4), survivors_brute([alpha], 4)):
+            assert r.survivor_count + r.defeated_count == 6
+            for (j, k), ln in zip(r.survivors, r.survivor_lengths):
+                assert ln == pytest.approx(expect[k - j], abs=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -220,6 +235,21 @@ def test_validation_of_engine_inputs():
             engine([0.4], 1)
         with pytest.raises(ValueError):
             engine([], 5)
+
+
+def test_build_edges_validation():
+    # An instance needs at least one edge (n >= 2) and one generator, in
+    # both modes; non-finite generators are refused too.
+    for alpha in (0.3, Fraction(3, 10)):
+        for engine in (survivors_sweep, survivors_brute):
+            with pytest.raises(ValueError):
+                engine([alpha], 1)
+            with pytest.raises(ValueError):
+                engine([alpha], 0)
+    with pytest.raises(ValueError):
+        coerce_components([])
+    with pytest.raises(ValueError):
+        coerce_components([0.3, math.inf])
 
 
 def test_exact_mode_randomized_equivalence():
