@@ -416,7 +416,7 @@ def build_parser() -> _Parser:
     p.add_argument("--assert-bound", action="store_true",
                    help="exit 2 if |S| exceeds the dimension bound")
     p.add_argument("--max-m", type=int, default=4, help="largest accepted dimension")
-    p.add_argument("--oracle-cap", type=int, default=80,
+    p.add_argument("--oracle-cap", type=int, default=200,
                    help="largest n allowed in brute mode")
     p.set_defaults(func=cmd_survivors)
 
@@ -431,7 +431,7 @@ def build_parser() -> _Parser:
     p.add_argument("suite", choices=VERIFY_SUITES)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--oracle-cap", type=int, default=80)
+    p.add_argument("--oracle-cap", type=int, default=200)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", parents=[common],

@@ -118,7 +118,7 @@ class ExperimentConfig:
     alpha_source: UniformRandom | QuadraticIrrationals | RationalGrid | Explicit
     n_values: list[int]
     epsilon: float = 1e-9
-    oracle_cap: int = 80
+    oracle_cap: int = 200
     seed: int = 0
     output: OutputSpec = field(default_factory=OutputSpec)
 
@@ -215,7 +215,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     epsilon = d.get("epsilon", 1e-9)
     if not isinstance(epsilon, (int, float)) or epsilon < 0:
         offending.append("epsilon")
-    oracle_cap = d.get("oracle_cap", 80)
+    oracle_cap = d.get("oracle_cap", 200)
     if not isinstance(oracle_cap, int) or oracle_cap < 2:
         offending.append("oracle_cap")
     seed = d.get("seed", 0)
@@ -730,7 +730,7 @@ def _suite_classical(trials: int, seed: int, epsilon: float) -> VerifyResult:
 def _suite_oracle(trials: int, seed: int, max_n: int, oracle_cap: int,
                   epsilon: float) -> VerifyResult:
     res = VerifyResult("oracle")
-    cap = min(max_n, oracle_cap, 50)
+    cap = min(max_n, oracle_cap)
     for m in (1, 2, 3):
         mismatches = 0
         for i in range(trials):
@@ -754,12 +754,12 @@ _SUITE_DEFAULTS = {
     "higher": (300, 120),
     "lemmas": (1_000, 300),
     "classical": (500, 0),
-    "oracle": (200, 50),
+    "oracle": (200, 120),
 }
 
 
 def verify_suite(name: str, *, trials: int | None = None, seed: int = 0,
-                 max_n: int | None = None, oracle_cap: int = 80,
+                 max_n: int | None = None, oracle_cap: int = 200,
                  epsilon: float = 1e-9) -> VerifyResult:
     """Run one named verification suite at the given scale."""
     if name not in VERIFY_SUITES:

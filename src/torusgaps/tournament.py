@@ -15,7 +15,12 @@ Two independent engines compute S:
   arcs.  "Some shorter edge overlaps on some axis" distributes over the
   union, so one coverage structure per axis replaces all pairwise tests.
 * ``survivors_brute`` applies the defeat relation pairwise and serves as
-  the oracle for the sweep.
+  the oracle for the sweep.  It lays out all edges in (group, q, j) order,
+  so an edge's possible defeaters are the prefix below its group, and
+  tests blocks of edges against chunks of that prefix, component pair by
+  component pair; an edge stops at the first chunk that defeats it, so only
+  the survivors scan their whole prefix.  No coverage structure and no
+  order beyond the grouping: the relation read literally, in bounded tiles.
 
 Both run vectorized over one ``numerics.Instance`` in either numeric
 mode.  Floating mode works on float64 points in [0, 1).  Exact mode works
@@ -265,50 +270,65 @@ def _sweep(inst: Instance, epsilon: float) -> SurvivorReport:
     return _assemble_report(alive, n * (n - 1) // 2, "sweep", inst.exact)
 
 
+# Tiling of the brute force.  Edges are judged _ROWS at a time against
+# chunks of their prefix.  A defeated edge nearly always overlaps one of the
+# first few edges of its prefix (the shortest), so the first chunk is _FIRST
+# edges wide and each later one _GROW times wider, up to _TILE judged x
+# prefix pairs: a tile's overlap matrix holds at most 2 * 2 * _TILE booleans.
+_ROWS = 256
+_TILE = 256 * 256
+_FIRST = 16
+_GROW = 4
+
+
 def _brute(inst: Instance, epsilon: float) -> SurvivorReport:
     P, n, unit, shrink, groups = _judging(inst, epsilon)
     m = P.shape[1]
-    # Flatten edges ordered by (group, q, j) so each edge's potential
-    # defeaters form a prefix of the arrays.
-    comp_s = [[] for _ in range(m)]
-    comp_e = [[] for _ in range(m)]
-    edge_meta: list[tuple[int, float, int, int]] = []
-    group_start = []
-    count = 0
-    for gid, group in enumerate(groups):
-        group_start.append(count)
-        for qi in group:
-            q = qi + 1
-            cnt = n - q
+    # Edges ordered by (group, q, j), so an edge's potential defeaters (the
+    # edges of strictly shorter groups) are the prefix below its group start.
+    qi = np.array([q for group in groups for q in group])
+    gid = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    cnt = n - 1 - qi
+    j = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)  # 0-based
+    qi, gid = np.repeat(qi, cnt), np.repeat(gid, cnt)
+    k = j + qi + 1
+    prefix = np.searchsorted(gid, gid)  # the index where its group starts
+    starts, ends = [], []  # per axis: components as (2, edges)
+    for r in range(m):
+        c1s, c1e, c2s, c2e = _axis_components(P[j, r], P[k, r], unit, shrink)
+        starts.append(np.stack([c1s, c2s]))
+        ends.append(np.stack([c1e, c2e]))
+    total = len(j)
+    defeated = np.zeros(total, dtype=bool)
+    for r0 in range(0, total, _ROWS):
+        rows = np.arange(r0, min(r0 + _ROWS, total))
+        rows = rows[prefix[rows] > 0]
+        c0, w = 0, _FIRST
+        while len(rows):
+            # prefix is ascending, so the last row has the longest prefix.
+            c1 = min(c0 + min(w, _TILE // len(rows)), int(prefix[rows[-1]]))
+            w *= _GROW
+            hit = np.zeros((len(rows), c1 - c0), dtype=bool)
             for r in range(m):
-                c1s, c1e, c2s, c2e = _axis_components(P[0:cnt, r], P[q:n, r], unit, shrink)
-                comp_s[r].append(np.stack([c1s, c2s]))
-                comp_e[r].append(np.stack([c1e, c2e]))
-            ln = inst.lengths[qi]
-            edge_meta.extend((gid, ln, idx + 1, idx + 1 + q) for idx in range(cnt))
-            count += cnt
-    S = [np.concatenate(comp_s[r], axis=1) for r in range(m)]  # (2, E)
-    E = [np.concatenate(comp_e[r], axis=1) for r in range(m)]
-    alive = []
-    for pos, (gid, ln, j, k) in enumerate(edge_meta):
-        prefix = group_start[gid]
-        defeated = False
-        if prefix:
-            for r in range(m):
-                os, oe = S[r][:, :prefix], E[r][:, :prefix]
-                for ci in range(2):
-                    a = S[r][ci, pos]
-                    b = E[r][ci, pos]
-                    if a >= b:
-                        continue
-                    if (np.maximum(a, os) < np.minimum(b, oe)).any():
-                        defeated = True
-                        break
-                if defeated:
-                    break
-        if not defeated:
-            alive.append((gid, ln, j, k))
-    return _assemble_report(alive, len(edge_meta), "brute", inst.exact)
+                # (2, 1, rows, 1) judged against (1, 2, 1, cols) opponent
+                # components: the half-open overlap test on each of the 2x2
+                # component pairs.  An empty component is [2*unit, 2*unit)
+                # and never overlaps.
+                a = starts[r][:, rows][:, None, :, None]
+                b = ends[r][:, rows][:, None, :, None]
+                os = starts[r][None, :, None, c0:c1]
+                oe = ends[r][None, :, None, c0:c1]
+                hit |= ((a < oe) & (os < b)).any(axis=(0, 1))
+            hit &= np.arange(c0, c1) < prefix[rows, None]
+            dead = hit.any(axis=1)
+            defeated[rows[dead]] = True
+            # Short-circuit: only rows still undefeated with prefix left
+            # meet the next chunk.
+            c0 = c1
+            rows = rows[~dead & (prefix[rows] > c0)]
+    alive = [(int(gid[e]), inst.lengths[qi[e]], int(j[e]) + 1, int(k[e]) + 1)
+             for e in np.flatnonzero(~defeated)]
+    return _assemble_report(alive, total, "brute", inst.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +344,14 @@ def survivors_sweep(alphas, n: int, *, epsilon: float = 1e-9) -> SurvivorReport:
 
 
 def survivors_brute(alphas, n: int, *, epsilon: float = 1e-9,
-                    oracle_cap: int = 80) -> SurvivorReport:
+                    oracle_cap: int = 200) -> SurvivorReport:
     """Undefeated-edge length set via the pairwise defeat relation.
 
-    Quadratic in the edge count, so n is capped (default 80); raise the cap
+    Edges are judged in tiles of bounded size against chunks of the edges
+    of strictly shorter groups.  An edge drops out at the first chunk that
+    defeats it, which is usually the first; only the survivors scan all
+    shorter edges.  The work still grows with the square of the edge count
+    for the survivors, so n is capped (default 200); raise the cap
     explicitly when you really want a bigger oracle run."""
     comps, exact = coerce_components(alphas)
     if n < 2:

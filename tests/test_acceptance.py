@@ -52,7 +52,7 @@ def test_eleven_distance_bound_1k_trials():
 
 
 def test_oracle_equivalence_200_trials_per_dimension():
-    result = verify_suite("oracle", trials=200, seed=SEED + 2, max_n=50)
+    result = verify_suite("oracle", trials=200, seed=SEED + 2, max_n=120)
     for label, ok, info in result.checks:
         criterion(f"oracle equivalence: {label}", ok, **info)
 

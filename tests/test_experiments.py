@@ -220,6 +220,13 @@ def test_golden_ratio_oracle_agreement():
     assert report.trials == 48
 
 
+def test_oracle_suite_honours_max_n():
+    result = verify_suite("oracle", trials=3, max_n=70)
+    assert result.passed
+    assert [label for label, _, _ in result.checks] == [
+        f"sweep == brute on 3 trials (m={m}, n <= 70)" for m in (1, 2, 3)]
+
+
 def test_verify_suite_rejects_unknown_name():
     with pytest.raises(ValueError):
         verify_suite("bogus")

@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from torusgaps.circle import circle_norm, fractional_part, geodesic
+from torusgaps import tournament
 from torusgaps.numerics import Instance, coerce_components, kronecker_instance
 from torusgaps.tournament import (
     _axis_components,
@@ -112,8 +114,8 @@ def test_build_edges_zero_length_edge():
 
 def test_oracle_cap_enforced():
     with pytest.raises(ValueError):
-        survivors_brute([0.3], 81)
-    survivors_brute([0.3], 81, oracle_cap=100)  # explicit override works
+        survivors_brute([0.3], 201)
+    survivors_brute([0.3], 201, oracle_cap=250)  # explicit override works
 
 
 def test_report_metadata():
@@ -156,7 +158,7 @@ def test_build_edges_lengths_by_difference():
 def test_sweep_matches_brute_on_random_instances(m):
     rng = np.random.default_rng(100 + m)
     for _ in range(25):
-        n = int(rng.integers(2, 35))
+        n = int(rng.integers(2, 80))
         alphas = rng.random(m).tolist()
         swept = survivors_sweep(alphas, n)
         brute = survivors_brute(alphas, n)
@@ -344,3 +346,77 @@ def test_exact_keys_group_in_exact_order():
     # array, keys on both sides of 2**63 would become float64 and tie.
     keys = [2 ** 63 + 5, 5, 2 ** 63 + 1, 2 ** 63 + 1, 2 ** 200]
     assert _q_groups(keys, 0) == [[1], [2, 3], [0], [4]]
+
+
+# The brute force judges edges in row blocks of 256 against chunks of their
+# prefix.  From n = 30 on an instance has 435+ edges: several row blocks,
+# each scanned in several chunks.
+TILED_CASES = {
+    # L = 7 (2**64 + 13) > 2**62: object arrays
+    "object": (LATTICE_CASES["object"][0], 32),
+    "m3": ([Fraction(5, 17), Fraction(3, 11), Fraction(7, 13)], 36),
+    "float": ([0.357, 0.781], 40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TILED_CASES))
+def test_tiled_brute_agrees_with_reference(case):
+    alphas, n = TILED_CASES[case]
+    brute = survivors_brute(alphas, n)
+    assert brute.survivors == reference_survivors(alphas, n)
+    assert survivors_sweep(alphas, n).survivors == brute.survivors
+
+
+def test_tiled_brute_tie_groups_straddle_row_blocks():
+    # Keys depend on q mod 4 alone, so the 780 edges at n = 40 fall into
+    # three tie groups (180, 200 and 400 edges), and row blocks start inside
+    # groups, where some rows have an empty prefix and others do not.
+    n = 40
+    inst = kronecker_instance([Fraction(1, 4), Fraction(1, 2)], True, n)
+    sizes = [sum(n - 1 - qi for qi in g) for g in _q_groups(inst.keys[: n - 1], 0)]
+    bounds = np.cumsum([0] + sizes)
+    assert len(sizes) == 3
+    assert any(lo < b < hi for lo, hi in zip(bounds, bounds[1:])
+               for b in range(tournament._ROWS, int(bounds[-1]), tournament._ROWS))
+    want = reference_survivors([Fraction(1, 4), Fraction(1, 2)], n)
+    for alphas in ([Fraction(1, 4), Fraction(1, 2)], [0.25, 0.5]):
+        assert survivors_brute(alphas, n).survivors == want
+
+
+def test_tiled_brute_survivors_scan_full_prefix():
+    # Near the golden ratio at m = 1, about n edges survive, most of them
+    # longer than the shortest edge: each scanned every shorter edge.
+    alphas, n = [Fraction(233, 377)], 40
+    brute = survivors_brute(alphas, n)
+    scanned = sum(ln > brute.distinct_lengths[0] for ln in brute.survivor_lengths)
+    assert brute.survivor_count >= n - 2 and scanned >= n // 2
+    assert brute.survivors == reference_survivors(alphas, n)
+
+
+def test_tiny_tiles_give_the_same_reports(monkeypatch):
+    # Shrunk tiles put block and chunk boundaries everywhere: inside tie
+    # groups, at prefix ends, and at one live row per chunk.
+    cases = [(LATTICE_CASES[c][0], 12) for c in sorted(LATTICE_CASES)]
+    cases += [([0.31, 0.47], 25), ([0.98], 23), ([Fraction(1, 4), Fraction(1, 2)], 17)]
+    want = [survivors_brute(a, n) for a, n in cases]
+    for rows, tile, first, grow in ((1, 1, 1, 1), (5, 11, 1, 2), (7, 21, 3, 3)):
+        monkeypatch.setattr(tournament, "_ROWS", rows)
+        monkeypatch.setattr(tournament, "_TILE", tile)
+        monkeypatch.setattr(tournament, "_FIRST", first)
+        monkeypatch.setattr(tournament, "_GROW", grow)
+        for (a, n), report in zip(cases, want):
+            assert survivors_brute(a, n) == report
+
+
+def test_brute_memory_stays_bounded():
+    # n = 200 at m = 3 has 19,900 edges; their full pairwise overlap
+    # matrix would take 1.6 GB, one tile at most 0.26 MB.
+    alphas = np.random.default_rng(5).random(3).tolist()
+    tracemalloc.start()
+    try:
+        report = survivors_brute(alphas, 200, oracle_cap=200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.survivor_count + report.defeated_count == 19_900
+    assert peak < 16 * 2 ** 20
