@@ -22,15 +22,10 @@ from .denominators import (
     TypeRelation,
     approximation_profile,
     classify,
-    find_primary,
-    find_q1,
-    find_q2,
-    find_secondary,
     primary_count_bound,
     relation,
     secondary_distinct_bound,
     undercut_bound,
-    undercut_count,
 )
 from .gaps import GapSpectrum, chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
 from .tournament import (
@@ -55,10 +50,6 @@ __all__ = [
     "chung_graham_gaps",
     "circle_norm",
     "classify",
-    "find_primary",
-    "find_q1",
-    "find_q2",
-    "find_secondary",
     "fractional_part",
     "gap_spectrum",
     "geelen_simpson_gaps",
@@ -72,5 +63,4 @@ __all__ = [
     "survivors_brute",
     "survivors_sweep",
     "undercut_bound",
-    "undercut_count",
 ]

@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from .denominators import (
     PRIMARY_DISTINCT_BOUND_2D,
-    approximation_profile,
-    classify,
+    _profile,
+    _Table,
     primary_count_bound,
     secondary_distinct_bound,
     undercut_bound,
@@ -245,7 +245,9 @@ _TABLE_ROWS_SHOWN = 40
 def cmd_denominators(args) -> int:
     alphas = parse_alphas(args.alphas, args.exact)
     m = len(alphas)
-    profile = approximation_profile(alphas, args.n, epsilon=args.epsilon)
+    # One table serves the profile and every printed row.
+    table = _Table(alphas, args.n, args.epsilon)
+    profile = _profile(table)
     checks = [
         ("primary count", len(profile.primary), primary_count_bound(m)),
     ]
@@ -293,7 +295,7 @@ def cmd_denominators(args) -> int:
             roles[r.q] = (roles.get(r.q, "") + "+secondary").lstrip("+")
         rows = []
         for q in range(1, args.n + 1):
-            rec = classify(q, alphas, epsilon=args.epsilon)
+            rec = table.record(q)
             rows.append([q]
                         + [fmt_real(d) for d in rec.deviations]
                         + [rec.signs, f"{rec.length:.17g}",
@@ -306,7 +308,7 @@ def cmd_denominators(args) -> int:
         shown = min(args.n, _TABLE_ROWS_SHOWN)
         print(f"{'q':>4}  {'type':<{m + 2}}  {'length':<18}  deviations")
         for q in range(1, shown + 1):
-            rec = classify(q, alphas, epsilon=args.epsilon)
+            rec = table.record(q)
             devs = ", ".join(fmt_real(d) for d in rec.deviations)
             print(f"{q:>4}  {rec.signs:<{m + 2}}  {rec.length:<18.12g}  ({devs})")
         if shown < args.n:

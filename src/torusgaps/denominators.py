@@ -19,6 +19,13 @@ survivor bounds:
 Each has a proof-supplied ceiling (``primary_count_bound`` etc.) that the
 experiment harness checks empirically.
 
+All of it comes from one table of rows q = 1..n, read off the same
+``numerics.Instance`` the tournament engines judge: each row's deviations,
+sign type, length and comparison key.  ``approximation_profile`` returns
+every champion at once, and its ``DenominatorRecord`` entries, like the
+one ``classify`` returns, are rows of that table.  Distinct lengths are
+counted with ``numerics.clusters``.
+
 Floating mode applies the comparison tolerance throughout: strictly
 shorter means shorter by more than epsilon, minimizer ties within epsilon
 resolve to the smallest q, and the sign rule is guarded at both of its
@@ -31,13 +38,11 @@ rational inputs in lockstep with exact mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from .circle import fractional_part
-from .numerics import (Real, ceil_sqrt, coerce_components, distinct_values,
-                       kronecker_instance)
+from .numerics import ceil_sqrt, clusters, coerce_components, kronecker_instance
 
 __all__ = [
     "ApproximationProfile",
@@ -45,14 +50,9 @@ __all__ = [
     "TypeRelation",
     "approximation_profile",
     "classify",
-    "find_primary",
-    "find_q1",
-    "find_q2",
-    "find_secondary",
     "primary_count_bound",
     "secondary_distinct_bound",
     "undercut_bound",
-    "undercut_count",
     "PRIMARY_DISTINCT_BOUND_2D",
 ]
 
@@ -102,18 +102,11 @@ class DenominatorRecord:
     deviations: tuple
     signs: str
     length: float
-    sqlen: Real
     angle: float | None = None
 
 
 def _flip(signs: str) -> str:
     return "".join("-" if c == "+" else "+" for c in signs)
-
-
-def _signs_of(devs, exact: bool, epsilon: float) -> str:
-    if exact:
-        return "".join("+" if d >= 0 else "-" for d in devs)
-    return "".join("+" if -epsilon <= d < 0.5 - epsilon else "-" for d in devs)
 
 
 def _angle(devs) -> float | None:
@@ -123,57 +116,21 @@ def _angle(devs) -> float | None:
     return math.pi if theta == -math.pi else theta
 
 
-def _record(q: int, comps, exact: bool, epsilon: float) -> DenominatorRecord:
-    devs = []
-    sq: Real = Fraction(0) if exact else 0.0
-    for a in comps:
-        f = fractional_part(q * a)
-        norm = min(f, 1 - f)
-        sq += norm * norm
-        devs.append(f - Fraction(1, 2) if exact else f - 0.5)
-    return DenominatorRecord(
-        q=q,
-        deviations=tuple(devs),
-        signs=_signs_of(devs, exact, epsilon),
-        length=math.sqrt(float(sq)),
-        sqlen=sq,
-        angle=_angle(devs),
-    )
-
-
-def classify(q: int, alphas, *, epsilon: float = 1e-9) -> DenominatorRecord:
-    """Deviations, sign type, length and angle of a single denominator."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    comps, exact = coerce_components(alphas)
-    return _record(q, comps, exact, epsilon)
-
-
-def relation(q1: int, q2: int, alphas, *, epsilon: float = 1e-9) -> TypeRelation:
-    """Compare the sign types of two denominators."""
-    a = classify(q1, alphas, epsilon=epsilon).signs
-    b = classify(q2, alphas, epsilon=epsilon).signs
-    if a == b:
-        return TypeRelation.SAME
-    if b == _flip(a):
-        return TypeRelation.OPPOSITE
-    return TypeRelation.NEITHER
-
-
 class _Table:
-    """Per-q lengths, comparison keys and sign types for q = 1..n, read off
-    the same ``Instance`` the tournament engines judge, so lengths agree
-    across modules by construction.  Exact keys are the lattice integers
-    L^2 l(q)^2, and {q a_r} - 1/2 >= 0 reads as 2 x >= L there."""
+    """Per-q rows for q = 1..n: deviations, lengths, comparison keys and
+    sign types, all read off the same ``Instance`` the tournament engines
+    judge, so they agree across modules by construction.  Exact keys are the
+    lattice integers L^2 l(q)^2, and {q a_r} - 1/2 >= 0 reads as 2 x >= L
+    there."""
 
-    def __init__(self, comps, exact: bool, n: int, epsilon: float):
-        self.exact = exact
-        self.epsilon = epsilon
-        self.comps = comps
-        inst = kronecker_instance(comps, exact, n)
+    def __init__(self, alphas, n: int, epsilon: float):
+        comps, self.exact = coerce_components(alphas)
+        self.tol = 0 if self.exact else epsilon
+        inst = kronecker_instance(comps, self.exact, n)
+        self.points, self.unit = inst.points, inst.unit
         self.lengths = inst.lengths
         self.keys = inst.keys
-        if exact:
+        if self.exact:
             pos = 2 * inst.points >= inst.unit
         else:
             dev = inst.points - 0.5
@@ -190,43 +147,49 @@ class _Table:
     def sign(self, q: int) -> str:
         return self.signs[q - 1]
 
-    def strictly_below(self, q: int, ref_key) -> bool:
+    def record(self, q: int) -> DenominatorRecord:
+        """Row q: deviations x - 1/2 of its points (x/L - 1/2 on the lattice)."""
+        row = self.points[q - 1].tolist()
         if self.exact:
-            return self.key(q) < ref_key
-        return self.key(q) < ref_key - self.epsilon
+            L = self.unit
+            devs = tuple(Fraction(2 * x - L, 2 * L) for x in row)
+        else:
+            devs = tuple(x - 0.5 for x in row)
+        return DenominatorRecord(q, devs, self.sign(q), self.length(q), _angle(devs))
+
+    def strictly_below(self, q: int, ref_key) -> bool:
+        return self.key(q) < ref_key - self.tol
 
     def smallest_minimizer(self, qs: list[int]) -> int:
         keys = [self.key(q) for q in qs]
         mn = min(keys)
-        if self.exact:
-            return min(q for q, k in zip(qs, keys) if k == mn)
-        return min(q for q, k in zip(qs, keys) if k <= mn + self.epsilon)
+        return min(q for q, k in zip(qs, keys) if k <= mn + self.tol)
+
+    def distinct(self, qs: list[int]) -> int:
+        """Number of length clusters among the given q."""
+        return len(clusters([self.key(q) for q in qs], self.tol))
 
 
-def _prepared(alphas, n: int, epsilon: float, *qs: int) -> _Table:
-    comps, exact = coerce_components(alphas)
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    for q in qs:
-        if not 1 <= q <= n:
-            raise ValueError(f"denominator {q} outside [1, n={n}]")
-    return _Table(comps, exact, n, epsilon)
+def classify(q: int, alphas, *, epsilon: float = 1e-9) -> DenominatorRecord:
+    """Deviations, sign type, length and angle of a single denominator.
+
+    Row q of the table of a is row 1 of the table of q a (the same float
+    product q * a_r, or the same rational), so one row is built, not q."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    comps, _ = coerce_components(alphas)
+    return replace(_Table([q * a for a in comps], 1, epsilon).record(1), q=q)
 
 
-def find_q1(alphas, n: int, *, epsilon: float = 1e-9) -> tuple[int, float]:
-    """Smallest q in [1, floor(n/2)] minimizing l(q), with its length."""
-    table = _prepared(alphas, n, epsilon)
-    half = n // 2
-    q1 = table.smallest_minimizer(list(range(1, half + 1)))
-    return q1, table.length(q1)
-
-
-def find_primary(alphas, n: int, q1: int, *, epsilon: float = 1e-9) -> list[DenominatorRecord]:
-    """All q in (floor(n/2), n] with l(q) strictly below l(q1)."""
-    table = _prepared(alphas, n, epsilon, q1)
-    ref = table.key(q1)
-    found = [q for q in range(n // 2 + 1, n + 1) if table.strictly_below(q, ref)]
-    return [_record(q, table.comps, table.exact, epsilon) for q in found]
+def relation(q1: int, q2: int, alphas, *, epsilon: float = 1e-9) -> TypeRelation:
+    """Compare the sign types of two denominators."""
+    a = classify(q1, alphas, epsilon=epsilon).signs
+    b = classify(q2, alphas, epsilon=epsilon).signs
+    if a == b:
+        return TypeRelation.SAME
+    if b == _flip(a):
+        return TypeRelation.OPPOSITE
+    return TypeRelation.NEITHER
 
 
 def _perp_pool(table: _Table, n: int, q1: int, strict_opposite: bool) -> list[int]:
@@ -238,37 +201,6 @@ def _perp_pool(table: _Table, n: int, q1: int, strict_opposite: bool) -> list[in
         if (s == flipped) if strict_opposite else (s != base):
             pool.append(q)
     return pool
-
-
-def find_q2(alphas, n: int, q1: int, *, epsilon: float = 1e-9,
-            strict_opposite: bool = False) -> tuple[int, float] | None:
-    """Smallest minimizer of l over the q <= n - q1 whose type differs from
-    q1's (``strict_opposite=True`` restricts the pool to fully flipped
-    types).  Returns None when the pool is empty."""
-    table = _prepared(alphas, n, epsilon, q1)
-    pool = _perp_pool(table, n, q1, strict_opposite)
-    if not pool:
-        return None
-    q2 = table.smallest_minimizer(pool)
-    return q2, table.length(q2)
-
-
-def find_secondary(alphas, n: int, q1: int, q2: int, *,
-                   epsilon: float = 1e-9) -> list[DenominatorRecord]:
-    """All q in (n - q1, n] of type opposite to q1 with l(q) strictly below l(q2)."""
-    table = _prepared(alphas, n, epsilon, q1, q2)
-    flipped = _flip(table.sign(q1))
-    ref = table.key(q2)
-    found = [q for q in range(n - q1 + 1, n + 1)
-             if table.sign(q) == flipped and table.strictly_below(q, ref)]
-    return [_record(q, table.comps, table.exact, epsilon) for q in found]
-
-
-def undercut_count(alphas, n: int, q1: int, q2: int, *, epsilon: float = 1e-9) -> int:
-    """|{q : 1 <= q < q1, l(q) strictly below l(q2)}|."""
-    table = _prepared(alphas, n, epsilon, q1, q2)
-    ref = table.key(q2)
-    return sum(1 for q in range(1, q1) if table.strictly_below(q, ref))
 
 
 @dataclass
@@ -299,38 +231,34 @@ def approximation_profile(alphas, n: int, *, epsilon: float = 1e-9) -> Approxima
     """One-pass extraction of q1, q2 (both pool variants), the primary and
     secondary denominators, their distinct-length counts, and the undercut
     count."""
-    table = _prepared(alphas, n, epsilon)
-    comps, exact = table.comps, table.exact
-    m = len(comps)
+    return _profile(_Table(alphas, n, epsilon))
 
+
+def _profile(table: _Table) -> ApproximationProfile:
+    """The approximation profile of a table of rows q = 1..n, n >= 2."""
+    n = len(table.lengths)
+    if n < 2:
+        raise ValueError("n must be >= 2")
     q1 = table.smallest_minimizer(list(range(1, n // 2 + 1)))
     ref1 = table.key(q1)
-    primary_q = [q for q in range(n // 2 + 1, n + 1) if table.strictly_below(q, ref1)]
-    primary = [_record(q, comps, exact, epsilon) for q in primary_q]
+    primary = [q for q in range(n // 2 + 1, n + 1) if table.strictly_below(q, ref1)]
 
     pool = _perp_pool(table, n, q1, strict_opposite=False)
     strict_pool = _perp_pool(table, n, q1, strict_opposite=True)
     q2 = table.smallest_minimizer(pool) if pool else None
     q2_strict = table.smallest_minimizer(strict_pool) if strict_pool else None
 
-    secondary: list[DenominatorRecord] = []
+    secondary: list[int] = []
     undercut: int | None = None
     if q2 is not None:
         ref2 = table.key(q2)
         flipped = _flip(table.sign(q1))
-        secondary_q = [q for q in range(n - q1 + 1, n + 1)
-                       if table.sign(q) == flipped and table.strictly_below(q, ref2)]
-        secondary = [_record(q, comps, exact, epsilon) for q in secondary_q]
+        secondary = [q for q in range(n - q1 + 1, n + 1)
+                     if table.sign(q) == flipped and table.strictly_below(q, ref2)]
         undercut = sum(1 for q in range(1, q1) if table.strictly_below(q, ref2))
 
-    def distinct_count(records: list[DenominatorRecord]) -> int:
-        if not records:
-            return 0
-        keys = [r.sqlen for r in records] if exact else [r.length for r in records]
-        return len(distinct_values(keys, epsilon, exact))
-
     return ApproximationProfile(
-        m=m,
+        m=table.points.shape[1],
         n=n,
         q1=q1,
         q1_length=table.length(q1),
@@ -339,9 +267,9 @@ def approximation_profile(alphas, n: int, *, epsilon: float = 1e-9) -> Approxima
         q2_length=table.length(q2) if q2 is not None else None,
         q2_strict=q2_strict,
         q2_strict_length=table.length(q2_strict) if q2_strict is not None else None,
-        primary=primary,
-        secondary=secondary,
+        primary=[table.record(q) for q in primary],
+        secondary=[table.record(q) for q in secondary],
         undercut=undercut,
-        primary_distinct=distinct_count(primary),
-        secondary_distinct=distinct_count(secondary),
+        primary_distinct=table.distinct(primary),
+        secondary_distinct=table.distinct(secondary),
     )

@@ -321,8 +321,6 @@ class TrialRecord:
     primary_distinct: int | None = None
     secondary_distinct: int | None = None
     violations: list[str] = field(default_factory=list)
-    survivors_within_gaps: bool | None = None
-    gaps_within_survivors: bool | None = None
     error: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -469,12 +467,15 @@ def run_trial(trial_id: int, alphas: list, n: int, *, epsilon: float = 1e-9) -> 
         record.violations.append("secondary_distinct")
 
     if m == 1:
-        spectrum = gap_spectrum(alphas[0], n, epsilon=epsilon)
+        # On the circle S is exactly the set of nearest-neighbour gaps of
+        # the circular spectrum that are at most 1/2 (zero gaps included:
+        # coincident points give zero-length edges, which always survive).
         tol = max(epsilon, 1e-12)
-        record.survivors_within_gaps = _gap_match(
-            report.distinct_lengths, spectrum.distinct_gaps, tol)
-        record.gaps_within_survivors = _gap_match(
-            spectrum.distinct_gaps, report.distinct_lengths, tol)
+        spectrum = gap_spectrum(alphas[0], n, epsilon=epsilon, circular=True)
+        gaps = [g for g in spectrum.gaps if g <= 0.5 + tol]
+        if not (_gap_match(report.distinct_lengths, gaps, tol)
+                and _gap_match(gaps, report.distinct_lengths, tol)):
+            record.violations.append("gap_identity")
     return record
 
 
@@ -603,23 +604,22 @@ def _suite_one_d(trials: int, seed: int, max_n: int, epsilon: float) -> VerifyRe
     surv_max_n = min(max_n, 200)
     surv_viol = 0
     surv_worst = 0
-    within = 0
-    contains = 0
+    mismatches = 0
     for i in range(surv_trials):
         rng = _trial_rng(seed + 1, i)
         n = int(rng.integers(2, surv_max_n + 1))
         alphas, _ = _draw_alphas(rng, 1, n)
         record = run_trial(i, alphas, n, epsilon=epsilon)
-        if record.error or record.violations:
+        bounds = [v for v in record.violations if v != "gap_identity"]
+        mismatches += len(record.violations) - len(bounds)
+        if record.error or bounds:
             surv_viol += 1
         surv_worst = max(surv_worst, record.distinct_count or 0)
-        within += bool(record.survivors_within_gaps)
-        contains += bool(record.gaps_within_survivors)
     res.check(f"1D survivor bound over {surv_trials} trials", surv_viol == 0,
               max_distinct=surv_worst)
-    res.stats.update(max_distinct_survivors=surv_worst,
-                     survivors_within_gaps=f"{within}/{surv_trials}",
-                     gaps_within_survivors=f"{contains}/{surv_trials}")
+    res.check(f"1D S == circular gaps <= 1/2 over {surv_trials} trials",
+              mismatches == 0, mismatches=mismatches)
+    res.stats["max_distinct_survivors"] = surv_worst
     return res
 
 
@@ -794,11 +794,30 @@ class AgreementReport:
         return not self.mismatches
 
 
+def _profile_outcome(p) -> dict:
+    """The mode-independent part of an approximation profile: every
+    denominator it selects (with its sign type) and every count."""
+    return {
+        "q1": p.q1,
+        "q2": p.q2,
+        "q2_strict": p.q2_strict,
+        "q1_perp": p.q1_perp,
+        "primary": [(r.q, r.signs) for r in p.primary],
+        "secondary": [(r.q, r.signs) for r in p.secondary],
+        "undercut": p.undercut,
+        "primary_distinct": p.primary_distinct,
+        "secondary_distinct": p.secondary_distinct,
+    }
+
+
 def dual_mode_agreement(instances: int = 200, *, seed: int = 0,
                         max_denominator: int = 50, max_n: int = 40,
                         epsilon: float = 1e-9) -> AgreementReport:
     """Rational instances run in exact mode and as floats must produce the
-    same survivor edge set, the same distinct lengths, and the same q1/q2."""
+    same survivor edge set, the same distinct lengths, and the same
+    approximation profile: q1, both q2 variants, the q1_perp pool, the
+    primary and secondary denominators with their signs, the undercut count
+    and both distinct-length counts."""
     report = AgreementReport()
     for i in range(instances):
         rng = _trial_rng(seed, i)
@@ -813,13 +832,13 @@ def dual_mode_agreement(instances: int = 200, *, seed: int = 0,
         report.instances += 1
         exact_rep = survivors_sweep(fracs, n)
         float_rep = survivors_sweep(floats, n, epsilon=epsilon)
-        prof_e = approximation_profile(fracs, n)
-        prof_f = approximation_profile(floats, n, epsilon=epsilon)
+        prof_e = _profile_outcome(approximation_profile(fracs, n))
+        prof_f = _profile_outcome(approximation_profile(floats, n, epsilon=epsilon))
         same = (exact_rep.survivors == float_rep.survivors
                 and exact_rep.distinct_count == float_rep.distinct_count
                 and all(abs(a - b) <= 1e-9 for a, b in
                         zip(exact_rep.distinct_lengths, float_rep.distinct_lengths))
-                and prof_e.q1 == prof_f.q1 and prof_e.q2 == prof_f.q2)
+                and prof_e == prof_f)
         if not same:
             report.mismatches.append({
                 "instance": i,
@@ -827,7 +846,7 @@ def dual_mode_agreement(instances: int = 200, *, seed: int = 0,
                 "n": n,
                 "exact_survivors": exact_rep.survivors,
                 "float_survivors": float_rep.survivors,
-                "exact_q1q2": (prof_e.q1, prof_e.q2),
-                "float_q1q2": (prof_f.q1, prof_f.q2),
+                "exact_profile": prof_e,
+                "float_profile": prof_f,
             })
     return report

@@ -15,6 +15,13 @@ wrapping from the largest point back to the smallest.  Both are available
 everywhere via ``circular=``; the defaults follow each construction's
 natural reading (linear for the single-sequence spectrum, circular for the
 generalisations, whose point sets contain 0).
+
+Both numeric modes share one array path.  Floating inputs give float64
+points in [0, 1).  Exact inputs (ints and Fractions) are put on the integer
+lattice Z/L, L the common denominator, with the same int64-or-object rule
+as the Kronecker instance; points, gaps and distinct gaps are exact
+integers there and come back as Fractions over L.  Stable sorting keeps
+ties in label order in both modes.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import Real, coerce_components, distinct_values, frac_array
+from .numerics import Real, clusters, coerce_components, frac_array, lattice
 
 __all__ = ["GapSpectrum", "gap_spectrum", "chung_graham_gaps", "geelen_simpson_gaps"]
 
@@ -54,39 +61,31 @@ class GapSpectrum:
         return sum(self.gaps)
 
 
-def _assemble(points: list, labels: list, epsilon: float, circular: bool,
-              exact: bool) -> GapSpectrum:
-    order = sorted(range(len(points)), key=lambda i: (points[i], labels[i]))
-    pts = [points[i] for i in order]
-    labs = [labels[i] for i in order]
-    gaps: list = []
-    if circular:
-        gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
-        gaps.append(1 - pts[-1] + pts[0])
-    else:
-        gaps.append(pts[0])
-        gaps.extend(pts[i + 1] - pts[i] for i in range(len(pts) - 1))
-        gaps.append(1 - pts[-1])
-    distinct = distinct_values(gaps, epsilon, exact, drop_zero=True)
-    return GapSpectrum(pts, labs, gaps, distinct, circular, exact)
-
-
-def _assemble_float(points: np.ndarray, labels: list, epsilon: float,
-                    circular: bool) -> GapSpectrum:
+def _assemble(points: np.ndarray, labels: list, epsilon: float,
+              circular: bool, unit) -> GapSpectrum:
+    """Sort the points (float64 in [0, 1), or lattice residues in [0, L))
+    and take their neighbour gaps on the circle of length ``unit`` (1.0 or
+    L); lattice results come back as Fractions over L."""
+    exact = not isinstance(unit, float)
     order = np.argsort(points, kind="stable")
     pts = points[order]
     labs = [labels[i] for i in order]
     if circular:
-        gaps = np.empty(len(pts))
+        gaps = np.empty(len(pts), dtype=pts.dtype)
         gaps[:-1] = np.diff(pts)
-        gaps[-1] = 1.0 - pts[-1] + pts[0]
+        gaps[-1] = unit - pts[-1] + pts[0]
     else:
-        gaps = np.empty(len(pts) + 1)
+        gaps = np.empty(len(pts) + 1, dtype=pts.dtype)
         gaps[0] = pts[0]
         gaps[1:-1] = np.diff(pts)
-        gaps[-1] = 1.0 - pts[-1]
-    distinct = distinct_values(gaps.tolist(), epsilon, False, drop_zero=True)
-    return GapSpectrum(pts.tolist(), labs, gaps.tolist(), distinct, circular, False)
+        gaps[-1] = unit - pts[-1]
+    pts, gaps = pts.tolist(), gaps.tolist()
+    tol = 0 if exact else epsilon
+    distinct = [gaps[c[0]] for c in clusters(gaps, tol) if gaps[c[0]] > tol]
+    if exact:
+        pts, gaps, distinct = ([Fraction(x, unit) for x in xs]
+                               for xs in (pts, gaps, distinct))
+    return GapSpectrum(pts, labs, gaps, distinct, circular, exact)
 
 
 def gap_spectrum(alpha: Real, n: int, *, epsilon: float = 1e-9,
@@ -102,11 +101,11 @@ def gap_spectrum(alpha: Real, n: int, *, epsilon: float = 1e-9,
     (a,), exact = coerce_components([alpha])
     labels = list(range(1, n + 1))
     if exact:
-        num, den = a.numerator, a.denominator
-        points = [Fraction(k * num % den, den) for k in labels]
-        return _assemble(points, labels, epsilon, circular, True)
+        L, (p,), dtype = lattice([a])
+        points = np.array([k * p % L for k in labels], dtype=dtype)
+        return _assemble(points, labels, epsilon, circular, L)
     points = frac_array(np.arange(1, n + 1, dtype=float) * a)
-    return _assemble_float(points, labels, epsilon, circular)
+    return _assemble(points, labels, epsilon, circular, 1.0)
 
 
 def chung_graham_gaps(alpha: Real, lambdas: list, n_list: list[int], *,
@@ -123,16 +122,17 @@ def chung_graham_gaps(alpha: Real, lambdas: list, n_list: list[int], *,
     if any(n < 1 for n in n_list):
         raise ValueError("every n_i must be >= 1")
     comps, exact = coerce_components([alpha, *lambdas])
-    a, lams = comps[0], comps[1:]
     labels = [(i + 1, k) for i, n in enumerate(n_list) for k in range(1, n + 1)]
     if exact:
-        points = [(k * a + lams[i - 1]) % 1 for i, k in labels]
-        return _assemble(points, labels, epsilon, circular, True)
+        L, (p, *shifts), dtype = lattice(comps)
+        points = np.array([(k * p + shifts[i - 1]) % L for i, k in labels], dtype=dtype)
+        return _assemble(points, labels, epsilon, circular, L)
+    a, lams = comps[0], comps[1:]
     points = np.concatenate([
         frac_array(np.arange(1, n + 1, dtype=float) * a + lam)
         for lam, n in zip(lams, n_list)
     ])
-    return _assemble_float(points, labels, epsilon, circular)
+    return _assemble(points, labels, epsilon, circular, 1.0)
 
 
 def geelen_simpson_gaps(alpha: Real, beta: Real, n1: int, n2: int, *,
@@ -148,8 +148,9 @@ def geelen_simpson_gaps(alpha: Real, beta: Real, n1: int, n2: int, *,
     (a, b), exact = coerce_components([alpha, beta])
     labels = [(k1, k2) for k1 in range(n1) for k2 in range(n2)]
     if exact:
-        points = [(k1 * a + k2 * b) % 1 for k1, k2 in labels]
-        return _assemble(points, labels, epsilon, circular, True)
+        L, (p, r), dtype = lattice([a, b])
+        points = np.array([(k1 * p + k2 * r) % L for k1, k2 in labels], dtype=dtype)
+        return _assemble(points, labels, epsilon, circular, L)
     grid = (np.arange(n1, dtype=float) * a)[:, None] + (np.arange(n2, dtype=float) * b)[None, :]
     points = frac_array(grid).ravel()
-    return _assemble_float(points, labels, epsilon, circular)
+    return _assemble(points, labels, epsilon, circular, 1.0)

@@ -1,5 +1,5 @@
-"""Shared numeric plumbing: dual-mode coercion, the Kronecker instance,
-tolerant clustering, integer roots.
+"""Shared numeric plumbing: dual-mode coercion, the integer lattice and the
+Kronecker instance on it, the one clustering rule, integer roots.
 
 Every quantity in this package lives in one of two numeric modes:
 
@@ -9,6 +9,10 @@ Every quantity in this package lives in one of two numeric modes:
   ``epsilon`` is ignored.  Kronecker points are then stored as integers on
   the lattice Z/L, L the common denominator, so exact arithmetic runs on
   integer arrays instead of Fractions.
+
+``clusters`` is the package's only grouping rule for values that compare
+equal at the working tolerance: survivor length groups, distinct gaps and
+distinct denominator lengths all go through it.
 """
 
 from __future__ import annotations
@@ -93,6 +97,15 @@ class Instance:
         return self.points.dtype.kind != "f"
 
 
+def lattice(comps: list[Fraction]) -> tuple[int, list[int], type]:
+    """Exact components on the integer lattice Z/L: L the lcm of the
+    denominators, each a_r as its residue p_r = a_r L mod L, and the array
+    element type that keeps residues and their differences exact."""
+    L = math.lcm(*(a.denominator for a in comps))
+    steps = [a.numerator * (L // a.denominator) % L for a in comps]
+    return L, steps, np.int64 if L < _INT64_LATTICE else object
+
+
 def kronecker_instance(comps: list[Real], exact: bool, n: int) -> Instance:
     """The Kronecker instance of k = 1..n for coerced components."""
     if not exact:
@@ -101,12 +114,11 @@ def kronecker_instance(comps: list[Real], exact: bool, n: int) -> Instance:
         norms = np.minimum(P, 1.0 - P)
         lengths = np.sqrt((norms * norms).sum(axis=1)).tolist()
         return Instance(P, lengths, lengths, 1.0)
-    L = math.lcm(*(a.denominator for a in comps))
-    steps = [a.numerator * (L // a.denominator) % L for a in comps]
+    L, steps, dtype = lattice(comps)
     rows = [[k * p % L for p in steps] for k in range(1, n + 1)]
     keys = [sum(min(x, L - x) ** 2 for x in row) for row in rows]
     sq_unit = L * L
-    points = np.array(rows, dtype=np.int64 if L < _INT64_LATTICE else object)
+    points = np.array(rows, dtype=dtype)
     return Instance(points, keys, [math.sqrt(k / sq_unit) for k in keys], L)
 
 
@@ -118,22 +130,20 @@ def ceil_sqrt(n: int) -> int:
     return s if s * s == n else s + 1
 
 
-def distinct_values(values: Iterable[Real], epsilon: float, exact: bool,
-                    drop_zero: bool = False) -> list[Real]:
-    """Cluster values at the working tolerance and return one representative
-    (the cluster minimum) per cluster, ascending.
+def clusters(values: list, tol) -> list[list[int]]:
+    """Single-linkage clusters of ``values`` as lists of indices.
 
-    With ``drop_zero`` clusters indistinguishable from zero are omitted;
-    these arise from coincident circle points on rational instances.
-    """
-    vals = sorted(values)
-    reps: list[Real] = []
-    for i, v in enumerate(vals):
-        if i == 0 or ((v != vals[i - 1]) if exact else (v - vals[i - 1] > epsilon)):
-            reps.append(v)
-    if drop_zero:
-        if exact:
-            reps = [r for r in reps if r != 0]
-        else:
-            reps = [r for r in reps if r > epsilon]
-    return reps
+    The values are sorted ascending and a new cluster starts wherever the
+    step from the previous value exceeds ``tol`` (0 in exact mode, so only
+    equal values share a cluster).  Clusters come back ascending, each in
+    value order with ties by index, so ``values[c[0]]`` is the cluster
+    minimum.  A chain of steps within ``tol`` is one cluster even when its
+    ends lie further apart.  Sorted in Python: numpy would turn exact keys on
+    both sides of 2**63 into float64 and misorder them."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    groups: list[list[int]] = [[order[0]]] if order else []
+    for prev, cur in zip(order, order[1:]):
+        if values[cur] - values[prev] > tol:
+            groups.append([])
+        groups[-1].append(cur)
+    return groups

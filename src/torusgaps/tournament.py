@@ -45,7 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Instance, ceil_sqrt, coerce_components, kronecker_instance
+from .numerics import (Instance, ceil_sqrt, clusters, coerce_components,
+                       kronecker_instance)
 
 __all__ = [
     "SurvivorReport",
@@ -220,26 +221,13 @@ def _axis_components(pj: np.ndarray, pk: np.ndarray, unit, shrink):
     return c1s, c1e, c2s, c2e
 
 
-def _q_groups(keys: list, epsilon: float) -> list[list[int]]:
-    """Cluster the per-difference keys (indices q - 1); groups come back
-    ascending.  Sorted in Python: numpy would turn exact keys on both sides
-    of 2**63 into float64 and misorder them."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    groups: list[list[int]] = [[order[0]]]
-    for prev, cur in zip(order[:-1], order[1:]):
-        if keys[cur] - keys[prev] > epsilon:
-            groups.append([])
-        groups[-1].append(cur)
-    return groups
-
-
 def _judging(inst: Instance, epsilon: float):
     """(points, n, unit, shrink, groups) of an instance's edges: exact
     instances group by equal keys and shrink nothing."""
     P = inst.points
     n = P.shape[0]
     tol, shrink = (0, 0) if inst.exact else (epsilon, epsilon / 2)
-    return P, n, inst.unit, shrink, _q_groups(inst.keys[: n - 1], tol)
+    return P, n, inst.unit, shrink, clusters(inst.keys[: n - 1], tol)
 
 
 def _sweep(inst: Instance, epsilon: float) -> SurvivorReport:

@@ -37,9 +37,9 @@ def test_three_distance_bound_10k_trials():
               elapsed=f"{elapsed:.1f}s", **info)
     label, ok, info = result.checks[1]
     criterion("1D survivor bound: |S| <= 3 on the survivor subbatch", ok, **info)
-    print(f"      observed containments: S within gaps "
-          f"{result.stats['survivors_within_gaps']}, gaps within S "
-          f"{result.stats['gaps_within_survivors']} (recorded, not asserted)")
+    label, ok, info = result.checks[2]
+    criterion("1D identity: S equals the circular gaps <= 1/2 on the survivor "
+              "subbatch (200 trials, n <= 200)", ok, **info)
 
 
 def test_eleven_distance_bound_1k_trials():
@@ -100,7 +100,9 @@ def test_exact_vs_floating_agreement_200_instances():
     report = dual_mode_agreement(instances=200, seed=SEED + 5,
                                  max_denominator=50, max_n=120, epsilon=1e-9)
     criterion("exactness: 200 rational instances (q <= 50, n <= 120), exact and "
-              "floating modes give identical survivor sets and q1/q2",
+              "floating modes give identical survivor sets and approximation "
+              "profiles (q1, q2, q2_strict, q1_perp, primary and secondary with "
+              "signs, undercut, distinct counts)",
               report.passed, mismatches=len(report.mismatches))
 
 

@@ -4,21 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torusgaps.circle import circle_norm
+from torusgaps.circle import circle_norm, signed_deviation
 from torusgaps.denominators import (
     PRIMARY_DISTINCT_BOUND_2D,
     TypeRelation,
     approximation_profile,
     classify,
-    find_primary,
-    find_q1,
-    find_q2,
-    find_secondary,
     primary_count_bound,
     relation,
     secondary_distinct_bound,
     undercut_bound,
-    undercut_count,
 )
 
 
@@ -52,6 +47,32 @@ def test_classify_validation():
         classify(0, [0.3])
 
 
+def test_records_match_scalar_circle_reading():
+    # Each record is a row of the instance table; its deviations, signs and
+    # length equal the scalar reading by ``signed_deviation`` (bit for bit
+    # in floating mode, exactly in exact mode).
+    rng = np.random.default_rng(3)
+    for i in range(24):
+        m = 1 + i % 3
+        if i % 2:
+            alphas = [Fraction(int(rng.integers(1, d)), int(d))
+                      for d in rng.integers(2, 10 ** 6, size=m)]
+        else:
+            alphas = rng.random(m).tolist()
+        n = int(rng.integers(2, 300))
+        profile = approximation_profile(alphas, n)
+        for rec in profile.primary + profile.secondary + [classify(n, alphas)]:
+            devs = tuple(signed_deviation(rec.q * a) for a in alphas)
+            assert rec.deviations == devs
+            assert all(type(d) is type(e) for d, e in zip(rec.deviations, devs))
+            assert rec.length == math.sqrt(float(sum(circle_norm(rec.q * a) ** 2
+                                                     for a in alphas)))
+            eps = 0 if i % 2 else 1e-9
+            assert rec.signs == "".join("+" if -eps <= d < 0.5 - eps else "-"
+                                        for d in devs)
+            assert classify(rec.q, alphas) == rec
+
+
 def test_relation_enum():
     # q=1 vs q=1 trivially same type
     assert relation(1, 1, [0.75, 0.25]) is TypeRelation.SAME
@@ -72,10 +93,15 @@ def exhaustive_q1(alphas, n):
     return lengths.index(best) + 1, best
 
 
+def q1_of(alphas, n):
+    profile = approximation_profile(alphas, n)
+    return profile.q1, profile.q1_length
+
+
 def test_find_q1_scan():
-    assert find_q1([0.3], 10) == (3, pytest.approx(0.1))
-    assert find_q1([0.5], 4) == (2, pytest.approx(0.0))
-    q1, l1 = find_q1([0.3, 0.3], 10)
+    assert q1_of([0.3], 10) == (3, pytest.approx(0.1))
+    assert q1_of([0.5], 4) == (2, pytest.approx(0.0))
+    q1, l1 = q1_of([0.3, 0.3], 10)
     assert q1 == 3
     assert l1 == pytest.approx(0.1 * math.sqrt(2))
 
@@ -86,65 +112,57 @@ def test_find_q1_matches_exhaustive_oracle():
         m = int(rng.integers(1, 4))
         n = int(rng.integers(2, 80))
         alphas = rng.random(m).tolist()
-        assert find_q1(alphas, n)[0] == exhaustive_q1(alphas, n)[0]
+        assert q1_of(alphas, n)[0] == exhaustive_q1(alphas, n)[0]
 
 
 def test_find_q1_validation():
     with pytest.raises(ValueError):
-        find_q1([0.3], 1)
-
-
-def test_out_of_range_denominators_rejected():
-    with pytest.raises(ValueError):
-        find_primary([0.3], 10, 11)
-    with pytest.raises(ValueError):
-        find_q2([0.3], 10, 0)
-    with pytest.raises(ValueError):
-        find_secondary([0.3], 10, 3, 99)
+        approximation_profile([0.3], 1)
 
 
 def test_find_primary_example():
-    primary = find_primary([0.3], 10, 3)
+    primary = approximation_profile([0.3], 10).primary
     assert [r.q for r in primary] == [10]
     assert primary[0].length == pytest.approx(0.0)
 
 
 def test_find_q2_example_and_pool():
-    assert find_q2([0.3], 10, 3) == (7, pytest.approx(0.1))
     profile = approximation_profile([0.3], 10)
+    assert (profile.q2, profile.q2_length) == (7, pytest.approx(0.1))
     # deviation of q=5 is exactly 0, which classifies as '+' like q1 itself
     assert profile.q1_perp == [1, 4, 7]
-    assert profile.q2 == 7
 
 
 def test_find_q2_empty_pool():
-    assert find_q2([0.1], 4, 1) is None
+    profile = approximation_profile([0.1], 4)
+    assert profile.q1 == 1 and profile.q1_perp == []
+    assert profile.q2 is None and profile.q2_length is None
+    assert profile.secondary == [] and profile.undercut is None
 
 
 def test_find_q2_exact_matches_float():
     fracs = [Fraction(5, 17), Fraction(3, 13)]
     floats = [float(f) for f in fracs]
     n = 24
-    q1_e, _ = find_q1(fracs, n)
-    q1_f, _ = find_q1(floats, n)
-    assert q1_e == q1_f
-    r_e = find_q2(fracs, n, q1_e)
-    r_f = find_q2(floats, n, q1_f)
-    assert (r_e is None) == (r_f is None)
-    if r_e is not None:
-        assert r_e[0] == r_f[0]
+    exact, floating = approximation_profile(fracs, n), approximation_profile(floats, n)
+    assert exact.q1 == floating.q1
+    assert exact.q2 == floating.q2
+    assert exact.q2_strict == floating.q2_strict
 
 
 def test_find_secondary_example_and_empty_case():
-    secondary = find_secondary([0.3], 10, 3, 7)
-    assert [r.q for r in secondary] == [10]
+    profile = approximation_profile([0.3], 10)
+    assert (profile.q1, profile.q2) == (3, 7)
+    assert [r.q for r in profile.secondary] == [10]
     # q2 exists but nothing of opposite type sits in (n - q1, n]
-    assert find_q2([Fraction(1, 4)], 4, 1) == (3, pytest.approx(0.25))
-    assert find_secondary([Fraction(1, 4)], 4, 1, 3) == []
+    profile = approximation_profile([Fraction(1, 4)], 4)
+    assert (profile.q1, profile.q2, profile.q2_length) == (1, 3, pytest.approx(0.25))
+    assert profile.secondary == []
 
 
 def test_undercut_count_example():
-    assert undercut_count([0.3], 10, 3, 7) == 0
+    profile = approximation_profile([0.3], 10)
+    assert (profile.q1, profile.q2, profile.undercut) == (3, 7, 0)
 
 
 def test_bound_formulas():
@@ -173,6 +191,36 @@ def test_angle_tangent_consistency():
         assert -math.pi < rec.angle <= math.pi
 
 
+def exhaustive_profile(alphas, n, eps=1e-9):
+    """Independent oracle: the profile's definitions read straight off
+    per-q scalar circle arithmetic (lengths by ``circle_norm``, signs by
+    ``signed_deviation`` with the same epsilon guards)."""
+    length = {q: math.sqrt(sum(circle_norm(q * a) ** 2 for a in alphas))
+              for q in range(1, n + 1)}
+
+    def sign(q):
+        devs = [signed_deviation(q * a) for a in alphas]
+        return "".join("+" if -eps <= d < 0.5 - eps else "-" for d in devs)
+
+    def smallest_minimizer(qs):
+        best = min(length[q] for q in qs)
+        return min(q for q in qs if length[q] <= best + eps)
+
+    def flip(s):
+        return s.translate(str.maketrans("+-", "-+"))
+
+    q1 = smallest_minimizer(range(1, n // 2 + 1))
+    primary = [q for q in range(n // 2 + 1, n + 1) if length[q] < length[q1] - eps]
+    pool = [q for q in range(1, n - q1 + 1) if sign(q) != sign(q1)]
+    q2 = smallest_minimizer(pool) if pool else None
+    secondary, undercut = [], None
+    if q2 is not None:
+        secondary = [q for q in range(n - q1 + 1, n + 1)
+                     if sign(q) == flip(sign(q1)) and length[q] < length[q2] - eps]
+        undercut = sum(length[q] < length[q2] - eps for q in range(1, q1))
+    return q1, length[q1], primary, q2, secondary, undercut
+
+
 def test_profile_consistency_with_individual_operations():
     rng = np.random.default_rng(11)
     for _ in range(25):
@@ -180,16 +228,13 @@ def test_profile_consistency_with_individual_operations():
         n = int(rng.integers(4, 60))
         alphas = rng.random(m).tolist()
         profile = approximation_profile(alphas, n)
-        q1, l1 = find_q1(alphas, n)
+        q1, l1, primary, q2, secondary, undercut = exhaustive_profile(alphas, n)
         assert profile.q1 == q1
         assert profile.q1_length == pytest.approx(l1)
-        assert [r.q for r in profile.primary] == [r.q for r in find_primary(alphas, n, q1)]
-        r2 = find_q2(alphas, n, q1)
-        assert profile.q2 == (None if r2 is None else r2[0])
-        if r2 is not None:
-            assert [r.q for r in profile.secondary] == \
-                [r.q for r in find_secondary(alphas, n, q1, profile.q2)]
-            assert profile.undercut == undercut_count(alphas, n, q1, profile.q2)
+        assert [r.q for r in profile.primary] == primary
+        assert profile.q2 == q2
+        assert [r.q for r in profile.secondary] == secondary
+        assert profile.undercut == undercut
 
 
 def test_q1_minimality_is_directly_assertable():
@@ -197,7 +242,7 @@ def test_q1_minimality_is_directly_assertable():
     for _ in range(30):
         n = int(rng.integers(2, 100))
         alphas = rng.random(2).tolist()
-        q1, l1 = find_q1(alphas, n)
+        q1, l1 = q1_of(alphas, n)
         for q in range(1, n // 2 + 1):
             assert l1 <= math.sqrt(sum(circle_norm(q * a) ** 2 for a in alphas)) + 1e-9
 

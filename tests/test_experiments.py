@@ -129,10 +129,31 @@ def test_run_trial_record_fields():
     assert record.lemma2_count is not None
 
 
-def test_run_trial_records_gap_containment_for_1d():
-    record = run_trial(0, [0.618033], 30)
-    assert record.survivors_within_gaps is not None
-    assert record.gaps_within_survivors is not None
+def test_run_trial_records_gap_containment_for_1d(monkeypatch):
+    # On the circle S equals the circular gaps <= 1/2; coincident points
+    # of a rational instance add the zero length on both sides.
+    for alphas, n in (([0.618033], 30), ([0.98], 23), ([Fraction(2, 7)], 20)):
+        assert run_trial(0, alphas, n).violations == []
+    # A spectrum with one gap changed breaks the identity, and the sweep
+    # summary serializes the instance as the witness.
+    import torusgaps.experiments as ex
+    real = ex.gap_spectrum
+
+    def shifted(*args, **kwargs):
+        spectrum = real(*args, **kwargs)
+        spectrum.gaps[0] += 0.01
+        return spectrum
+
+    monkeypatch.setattr(ex, "gap_spectrum", shifted)
+    record = run_trial(7, [0.618033], 30)
+    assert record.violations == ["gap_identity"]
+    summary = ex.SweepSummary(config={})
+    summary.add(record)
+    assert summary.status == "FAILED"
+    witness = json.loads(summary.to_json())["violation_witnesses"][0]
+    assert witness["trial_id"] == 7 and witness["n"] == 30
+    assert witness["alphas"] == [0.618033]
+    assert witness["violations"] == ["gap_identity"]
 
 
 def test_degenerate_rational_instance_completes():
@@ -244,6 +265,26 @@ def test_dual_mode_agreement_smoke():
     report = dual_mode_agreement(instances=25, seed=5)
     assert report.passed, report.mismatches[:1]
     assert report.instances == 25
+
+
+def test_dual_mode_agreement_compares_whole_profile(monkeypatch):
+    # A float profile that differs from the exact one in any field beyond
+    # q1 and q2 is a mismatch.
+    import torusgaps.experiments as ex
+    real = ex.approximation_profile
+
+    def skewed(alphas, n, **kwargs):
+        profile = real(alphas, n, **kwargs)
+        if isinstance(alphas[0], float):
+            profile.primary_distinct += 1
+        return profile
+
+    monkeypatch.setattr(ex, "approximation_profile", skewed)
+    report = dual_mode_agreement(instances=3, seed=5)
+    assert len(report.mismatches) == 3
+    witness = report.mismatches[0]
+    assert (witness["float_profile"]["primary_distinct"]
+            == witness["exact_profile"]["primary_distinct"] + 1)
 
 
 def test_run_sweep_defaults_stay_within_bounds():

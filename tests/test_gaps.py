@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusgaps.gaps import chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
@@ -57,6 +57,9 @@ def test_gap_spectrum_rational_coincident_points():
     assert spec.gap_sum() == 1
     assert 0 in spec.gaps
     assert spec.distinct_gaps == [Fraction(1, 3)]
+    # Coincident points keep label order.
+    spec = gap_spectrum(Fraction(2, 7), 60)
+    assert spec.labels == sorted(range(1, 61), key=lambda k: (k * 2 % 7, k))
 
 
 def test_gap_spectrum_validation():
@@ -128,12 +131,59 @@ def test_geelen_simpson_exact_mode():
     assert spec.gap_sum() == 1
 
 
+# Exact inputs run on the lattice Z/L: int64 residues while L < 2**62,
+# Python ints past it.
+WIDE = Fraction(2 ** 40 + 3, 2 ** 41 + 5)  # 2**31 < L < 2**62
+HUGE = Fraction(2 ** 64 - 57, 2 ** 64 + 13)  # L > 2**62
+
+
 @settings(max_examples=60)
 @given(st.fractions(min_value=0, max_value=1, max_denominator=60),
        st.integers(min_value=1, max_value=40))
+@example(WIDE, 37)
+@example(HUGE, 37)
+@example(Fraction(3, 2 ** 62 - 1), 40)
 def test_gap_sum_is_exactly_one_in_exact_mode(alpha, n):
     for circular in (False, True):
         assert gap_spectrum(alpha, n, circular=circular).gap_sum() == 1
+
+
+def exact_points(kind, alpha, beta):
+    """The point set of each construction, in Fraction arithmetic."""
+    if kind == "plain":
+        return [(k * alpha) % 1 for k in range(1, 30)]
+    if kind == "shifted":
+        return [(k * alpha + lam) % 1 for lam, n in ((0, 9), (beta, 13), (1 - beta, 7))
+                for k in range(1, n + 1)]
+    return [(k1 * alpha + k2 * beta) % 1 for k1 in range(5) for k2 in range(6)]
+
+
+@pytest.mark.parametrize("kind", ["plain", "shifted", "two"])
+@pytest.mark.parametrize("alpha, beta", [
+    (WIDE, Fraction(7, 2 ** 41 + 5)),
+    (HUGE, Fraction(5, 2 ** 64 + 13)),
+    (HUGE, Fraction(1, 3)),
+], ids=["wide", "huge", "huge-mixed"])
+def test_exact_constructions_on_wide_lattices(kind, alpha, beta):
+    L = math.lcm(alpha.denominator, beta.denominator)
+    assert 2 ** 31 < L < 2 ** 62 if alpha == WIDE else L > 2 ** 62
+    if kind == "plain":
+        spec = gap_spectrum(alpha, 29, circular=True)
+    elif kind == "shifted":
+        spec = chung_graham_gaps(alpha, [0, beta, 1 - beta], [9, 13, 7])
+    else:
+        spec = geelen_simpson_gaps(alpha, beta, 5, 6)
+    pts, gaps = brute_circular_gaps(exact_points(kind, alpha, beta))
+    assert spec.exact
+    assert spec.points == pts and spec.gaps == gaps
+    assert spec.distinct_gaps == sorted(set(g for g in gaps if g != 0))
+    values = spec.points + spec.gaps + spec.distinct_gaps
+    assert all(type(v) is Fraction for v in values)
+    assert spec.gap_sum() == 1
+    if kind == "plain":
+        linear = gap_spectrum(alpha, 29)
+        assert linear.gaps == [pts[0], *gaps[:-1], 1 - pts[-1]]
+        assert linear.gap_sum() == 1
 
 
 def test_three_gap_bound_random_smoke():

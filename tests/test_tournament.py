@@ -8,11 +8,12 @@ import pytest
 
 from torusgaps.circle import circle_norm, fractional_part, geodesic
 from torusgaps import tournament
-from torusgaps.numerics import Instance, coerce_components, kronecker_instance
+from torusgaps.gaps import _assemble
+from torusgaps.numerics import Instance, clusters, coerce_components, kronecker_instance
 from torusgaps.tournament import (
     _axis_components,
     _brute,
-    _q_groups,
+    _judging,
     _sweep,
     survivor_bound,
     survivor_bound_alt,
@@ -345,7 +346,27 @@ def test_exact_keys_group_in_exact_order():
     # Lattice keys reach m (L/2)^2, past 2**63 once L > 2**32; as one numpy
     # array, keys on both sides of 2**63 would become float64 and tie.
     keys = [2 ** 63 + 5, 5, 2 ** 63 + 1, 2 ** 63 + 1, 2 ** 200]
-    assert _q_groups(keys, 0) == [[1], [2, 3], [0], [4]]
+    assert clusters(keys, 0) == [[1], [2, 3], [0], [4]]
+
+
+def test_clusters_chain_by_single_linkage():
+    # 0, 0.6 eps and 1.2 eps are one cluster: each step is within eps,
+    # although the ends are 1.2 eps apart.
+    eps = 1e-9
+    keys = [0.0, 0.6 * eps, 1.2 * eps]
+    assert clusters(keys, eps) == [[0, 1, 2]]
+    # Edge grouping: edges of three such lengths form one tie group.
+    points = np.array([[0.0], [0.1], [0.2], [0.3]])
+    inst = Instance(points, keys, keys, 1.0)
+    assert _judging(inst, eps)[-1] == [[0, 1, 2]]
+    # Distinct gaps: circular gaps 0, 0.6 eps, 1.2 eps and 1 - 1.8 eps.  The
+    # chain is one cluster at 0 and is dropped as zero; only 1 - 1.8 eps
+    # remains.
+    points = np.array([0.3, 0.3, 0.3 + 0.6 * eps, 0.3 + 1.8 * eps])
+    spectrum = _assemble(points, list(range(4)), eps, True, 1.0)
+    assert spectrum.gaps == pytest.approx([0.0, 0.6 * eps, 1.2 * eps, 1 - 1.8 * eps],
+                                          rel=0, abs=1e-15)
+    assert spectrum.distinct_gaps == pytest.approx([1 - 1.8 * eps], rel=0, abs=1e-15)
 
 
 # The brute force judges edges in row blocks of 256 against chunks of their
@@ -373,7 +394,7 @@ def test_tiled_brute_tie_groups_straddle_row_blocks():
     # groups, where some rows have an empty prefix and others do not.
     n = 40
     inst = kronecker_instance([Fraction(1, 4), Fraction(1, 2)], True, n)
-    sizes = [sum(n - 1 - qi for qi in g) for g in _q_groups(inst.keys[: n - 1], 0)]
+    sizes = [sum(n - 1 - qi for qi in g) for g in clusters(inst.keys[: n - 1], 0)]
     bounds = np.cumsum([0] + sizes)
     assert len(sizes) == 3
     assert any(lo < b < hi for lo, hi in zip(bounds, bounds[1:])
