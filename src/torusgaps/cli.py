@@ -1,9 +1,9 @@
 """Command-line surface: gap spectra, survivor sets, denominator tables,
 verification suites, and config-driven sweeps.
 
-Exit codes follow one contract everywhere: 0 all good, 1 usage or config
-error, 2 a checked bound was violated (or the two engines disagreed), with
-the witness printed.
+Exit codes follow one contract everywhere: 0 all good, 1 usage, config or
+file error, 2 a checked bound was violated (or the two engines disagreed),
+with the witness printed.
 
 Generator components parse as decimal reals or exact fractions ``p/q``;
 when every component is a fraction the computation runs in exact rational
@@ -19,14 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .denominators import (
-    PRIMARY_DISTINCT_BOUND_2D,
-    _profile,
-    _Table,
-    primary_count_bound,
-    secondary_distinct_bound,
-    undercut_bound,
-)
+from .denominators import _profile, _Table, profile_checks
 from .experiments import (
     VERIFY_SUITES,
     ConfigError,
@@ -240,6 +233,12 @@ def cmd_survivors(args) -> int:
 # ---------------------------------------------------------------------------
 
 _TABLE_ROWS_SHOWN = 40
+_CHECK_LABELS = {
+    "primary_count": "primary count",
+    "primary_distinct": "primary distinct lengths",
+    "undercut": "undercut count (lemma2_count)",
+    "secondary_distinct": "secondary distinct lengths",
+}
 
 
 def cmd_denominators(args) -> int:
@@ -248,18 +247,8 @@ def cmd_denominators(args) -> int:
     # One table serves the profile and every printed row.
     table = _Table(alphas, args.n, args.epsilon)
     profile = _profile(table)
-    checks = [
-        ("primary count", len(profile.primary), primary_count_bound(m)),
-    ]
-    if m == 2:
-        checks.append(("primary distinct lengths", profile.primary_distinct,
-                       PRIMARY_DISTINCT_BOUND_2D))
-    if profile.undercut is not None:
-        checks.append(("undercut count (lemma2_count)", profile.undercut,
-                       undercut_bound(m)))
-    if profile.secondary:
-        checks.append(("secondary distinct lengths", profile.secondary_distinct,
-                       secondary_distinct_bound(m)))
+    checks = [(_CHECK_LABELS[name], value, bound)
+              for name, value, bound in profile_checks(profile)]
     failed = any(value > bound for _, value, bound in checks)
 
     if args.format == "json":
@@ -383,15 +372,22 @@ def cmd_sweep(args) -> int:
 # Parser wiring
 # ---------------------------------------------------------------------------
 
+def _add_format(p, choices=("table", "csv", "json")) -> None:
+    p.add_argument("--format", choices=choices, default="table", help="output format")
+
+
+def _add_epsilon(p) -> None:
+    p.add_argument("--epsilon", type=float, default=1e-9,
+                   help="comparison tolerance in floating mode")
+
+
 def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "csv", "json"),
-                        default="table", help="output format")
-    common.add_argument("--epsilon", type=float, default=1e-9,
-                        help="comparison tolerance in floating mode")
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument("--exact", action="store_true",
-                        help="force exact rational arithmetic")
+    # Each command gets only the flags it reads.
+    instance = argparse.ArgumentParser(add_help=False)
+    _add_format(instance)
+    _add_epsilon(instance)
+    instance.add_argument("--exact", action="store_true",
+                          help="force exact rational arithmetic")
 
     parser = _Parser(prog="torusgaps",
                      description="Gap spectra and undefeated-edge distance sets "
@@ -399,7 +395,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("gaps", parents=[common],
+    p = sub.add_parser("gaps", parents=[instance],
                        help="gap spectrum of {k*alpha}, k=1..n")
     p.add_argument("alpha", help="real number: decimal or exact p/q")
     p.add_argument("n", type=int)
@@ -409,7 +405,7 @@ def build_parser() -> _Parser:
                    help="exit 2 if more than three distinct gaps appear")
     p.set_defaults(func=cmd_gaps)
 
-    p = sub.add_parser("survivors", parents=[common],
+    p = sub.add_parser("survivors", parents=[instance],
                        help="undefeated-edge distance set on the m-torus")
     p.add_argument("alphas", help="comma-separated generator components")
     p.add_argument("n", type=int)
@@ -422,23 +418,25 @@ def build_parser() -> _Parser:
                    help="largest n allowed in brute mode")
     p.set_defaults(func=cmd_survivors)
 
-    p = sub.add_parser("denominators", parents=[common],
+    p = sub.add_parser("denominators", parents=[instance],
                        help="champion denominators, sign types, counting checks")
     p.add_argument("alphas", help="comma-separated generator components")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_denominators)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run a named verification suite")
+    p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=VERIFY_SUITES)
+    _add_format(p, ("table", "json"))
+    _add_epsilon(p)
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--oracle-cap", type=int, default=200)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="run an experiment sweep from a JSON config")
+    p = sub.add_parser("sweep", help="run an experiment sweep from a JSON config")
     p.add_argument("config", help="path to the config JSON document")
+    _add_format(p, ("table", "json"))
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -458,7 +456,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"torusgaps: config error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"torusgaps: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -16,8 +16,9 @@ survivor bounds:
   beating l(q2);
 * the undercut count - how many q below q1 beat l(q2).
 
-Each has a proof-supplied ceiling (``primary_count_bound`` etc.) that the
-experiment harness checks empirically.
+Each has a proof-supplied ceiling (``primary_count_bound`` etc.);
+``profile_checks`` pairs every counted quantity of a profile with its
+ceiling, and is the one place those comparisons are decided.
 
 All of it comes from one table of rows q = 1..n, read off the same
 ``numerics.Instance`` the tournament engines judge: each row's deviations,
@@ -51,6 +52,7 @@ __all__ = [
     "approximation_profile",
     "classify",
     "primary_count_bound",
+    "profile_checks",
     "secondary_distinct_bound",
     "undercut_bound",
     "PRIMARY_DISTINCT_BOUND_2D",
@@ -273,3 +275,21 @@ def _profile(table: _Table) -> ApproximationProfile:
         primary_distinct=table.distinct(primary),
         secondary_distinct=table.distinct(secondary),
     )
+
+
+def profile_checks(profile: ApproximationProfile) -> list[tuple[str, int, int]]:
+    """The counting checks that apply to a profile, as (name, value, bound):
+    the primary count always, the distinct primary lengths on the 2-torus,
+    the undercut count when q2 exists, and the distinct secondary lengths
+    when there are secondary denominators."""
+    m = profile.m
+    checks = [("primary_count", len(profile.primary), primary_count_bound(m))]
+    if m == 2:
+        checks.append(("primary_distinct", profile.primary_distinct,
+                       PRIMARY_DISTINCT_BOUND_2D))
+    if profile.undercut is not None:
+        checks.append(("undercut", profile.undercut, undercut_bound(m)))
+    if profile.secondary:
+        checks.append(("secondary_distinct", profile.secondary_distinct,
+                       secondary_distinct_bound(m)))
+    return checks

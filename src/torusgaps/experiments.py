@@ -3,11 +3,18 @@
 A sweep is described by an :class:`ExperimentConfig` (loadable from JSON):
 a dimension, a source of generator vectors, a list of n values, tolerances
 and output sinks.  ``run_sweep`` computes the undefeated-edge report and
-the full approximation profile for every trial, checks each quantity
-against its ceiling, and aggregates a :class:`SweepSummary` that can be
-serialized to JSON and per-trial CSV rows.  ``cross_check`` runs the sweep
-engine against the brute-force oracle on every trial and reports any
-disagreement verbatim.
+the full approximation profile for every trial, checks |S| and every row
+of ``denominators.profile_checks`` against its ceiling, and aggregates a
+:class:`SweepSummary` that can be serialized to JSON and per-trial CSV
+rows.  ``cross_check`` runs the sweep engine against the brute-force oracle
+on every trial and reports any disagreement verbatim.
+
+The named verify suites are uniform-random configs (n uniform in
+[2, max_n]) read through the same trial stream: ``planar``, ``higher`` and
+the survivor half of ``one_d`` are ``run_sweep`` summaries, ``oracle`` is
+one ``cross_check`` per dimension, and the gap half of ``one_d`` and
+``lemmas`` iterate the config's trials directly.  Only ``classical`` draws
+its own (multi-parameter) instances.
 
 Determinism: trial i draws from ``numpy.random.default_rng([seed, i])``,
 so a config's seed fully fixes the trial stream, trials are independent,
@@ -27,13 +34,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .denominators import (
-    PRIMARY_DISTINCT_BOUND_2D,
-    approximation_profile,
-    primary_count_bound,
-    secondary_distinct_bound,
-    undercut_bound,
-)
+from .denominators import (approximation_profile, primary_count_bound,
+                           profile_checks, undercut_bound)
 from .gaps import chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
 from .numerics import Real
 from .tournament import (survivor_bound, survivor_bound_alt, survivors_brute,
@@ -134,12 +136,15 @@ def _num_to_json(v: Real):
     return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
 
 
-def _parse_component(v) -> Real:
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, (int, float)):
-        return v
-    raise ConfigError(f"unparseable generator component {v!r}")
+def _parse_component(v, key: str) -> Real:
+    try:
+        if isinstance(v, str):
+            return Fraction(v)
+        if isinstance(v, (int, float)):
+            return v
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ConfigError(f"unparseable generator component {v!r}", [key])
 
 
 _SOURCE_KEYS = {
@@ -190,7 +195,7 @@ def _parse_source(d: dict, m: int):
         if not isinstance(row, list) or len(row) != m:
             raise ConfigError(f"alphas[{i}] must be a list of m components",
                               [f"alpha_source.alphas[{i}]"])
-        rows.append([_parse_component(v) for v in row])
+        rows.append([_parse_component(v, f"alpha_source.alphas[{i}]") for v in row])
     return Explicit(alphas=rows)
 
 
@@ -454,17 +459,9 @@ def run_trial(trial_id: int, alphas: list, n: int, *, epsilon: float = 1e-9) -> 
     record.lemma2_count = profile.undercut
     record.primary_distinct = profile.primary_distinct
     record.secondary_distinct = profile.secondary_distinct
-
-    if record.distinct_count > survivor_bound(m):
-        record.violations.append("survivor_bound")
-    if record.primary_count > primary_count_bound(m):
-        record.violations.append("primary_count")
-    if m == 2 and profile.primary_distinct > PRIMARY_DISTINCT_BOUND_2D:
-        record.violations.append("primary_distinct")
-    if profile.undercut is not None and profile.undercut > undercut_bound(m):
-        record.violations.append("undercut")
-    if profile.secondary and profile.secondary_distinct > secondary_distinct_bound(m):
-        record.violations.append("secondary_distinct")
+    checks = ([("survivor_bound", record.distinct_count, survivor_bound(m))]
+              + profile_checks(profile))
+    record.violations = [name for name, value, bound in checks if value > bound]
 
     if m == 1:
         # On the circle S is exactly the set of nearest-neighbour gaps of
@@ -522,10 +519,10 @@ class CrossCheckReport:
         return not self.mismatches and not self.errors
 
 
-def _reports_agree(a, b) -> bool:
+def _reports_agree(a, b, tol: float) -> bool:
     return (a.survivors == b.survivors
             and a.distinct_count == b.distinct_count
-            and all(abs(x - y) <= 1e-12 for x, y in
+            and all(abs(x - y) <= tol for x, y in
                     zip(a.distinct_lengths, b.distinct_lengths)))
 
 
@@ -553,7 +550,7 @@ def cross_check(config: ExperimentConfig) -> CrossCheckReport:
                 "error": f"{type(exc).__name__}: {exc}",
             })
             continue
-        if not _reports_agree(swept, brute):
+        if not _reports_agree(swept, brute, 1e-12):
             report.mismatches.append({
                 "trial_id": trial_id,
                 "alphas": [_num_to_json(a) for a in alphas],
@@ -584,14 +581,22 @@ class VerifyResult:
         self.checks.append((label, bool(ok), info))
 
 
+def _uniform_config(m: int, trials: int, seed: int, max_n: int, epsilon: float,
+                    oracle_cap: int = 200) -> ExperimentConfig:
+    """A suite's trial stream: ``trials`` uniform draws, n uniform in [2, max_n]."""
+    if max_n < 2:
+        raise ValueError(f"max_n must be >= 2, got {max_n}")
+    return ExperimentConfig(m=m, alpha_source=UniformRandom(trials),
+                            n_values=list(range(2, max_n + 1)), epsilon=epsilon,
+                            oracle_cap=oracle_cap, seed=seed)
+
+
 def _suite_one_d(trials: int, seed: int, max_n: int, epsilon: float) -> VerifyResult:
     res = VerifyResult("one_d")
     worst = 0
     violations = 0
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        n = int(rng.integers(2, max_n + 1))
-        (alpha,), _ = _draw_alphas(rng, 1, n)
+    for _, (alpha,), n, _ in _enumerate_trials(_uniform_config(1, trials, seed, max_n,
+                                                                epsilon)):
         spectrum = gap_spectrum(alpha, n, epsilon=epsilon)
         worst = max(worst, spectrum.distinct_count)
         if spectrum.distinct_count > 3:
@@ -601,25 +606,16 @@ def _suite_one_d(trials: int, seed: int, max_n: int, epsilon: float) -> VerifyRe
     res.stats["max_distinct_gaps"] = worst
 
     surv_trials = min(200, trials)
-    surv_max_n = min(max_n, 200)
-    surv_viol = 0
-    surv_worst = 0
-    mismatches = 0
-    for i in range(surv_trials):
-        rng = _trial_rng(seed + 1, i)
-        n = int(rng.integers(2, surv_max_n + 1))
-        alphas, _ = _draw_alphas(rng, 1, n)
-        record = run_trial(i, alphas, n, epsilon=epsilon)
-        bounds = [v for v in record.violations if v != "gap_identity"]
-        mismatches += len(record.violations) - len(bounds)
-        if record.error or bounds:
-            surv_viol += 1
-        surv_worst = max(surv_worst, record.distinct_count or 0)
-    res.check(f"1D survivor bound over {surv_trials} trials", surv_viol == 0,
-              max_distinct=surv_worst)
+    summary = run_sweep(_uniform_config(1, surv_trials, seed + 1, min(max_n, 200),
+                                        epsilon))
+    mismatches = summary.violations.get("gap_identity", 0)
+    # A gap_identity violation fails the identity check, not the bound.
+    res.check(f"1D survivor bound over {surv_trials} trials",
+              not summary.errors and summary.total_violations == mismatches,
+              max_distinct=summary.max_distinct)
     res.check(f"1D S == circular gaps <= 1/2 over {surv_trials} trials",
               mismatches == 0, mismatches=mismatches)
-    res.stats["max_distinct_survivors"] = surv_worst
+    res.stats["max_distinct_survivors"] = summary.max_distinct
     return res
 
 
@@ -627,24 +623,11 @@ def _survivor_suite(name: str, m: int, trials: int, seed: int, max_n: int,
                     epsilon: float) -> VerifyResult:
     res = VerifyResult(name)
     bound = survivor_bound(m)
-    worst = 0
-    bad = 0
-    errors = 0
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        n = int(rng.integers(2, max_n + 1))
-        alphas, _ = _draw_alphas(rng, m, n)
-        record = run_trial(i, alphas, n, epsilon=epsilon)
-        if record.error:
-            errors += 1
-            continue
-        worst = max(worst, record.distinct_count)
-        if record.violations:
-            bad += 1
+    summary = run_sweep(_uniform_config(m, trials, seed, max_n, epsilon))
     res.check(f"|S| <= {bound} over {trials} trials (m={m})",
-              bad == 0 and errors == 0,
-              max_distinct=worst, violations=bad, errors=errors)
-    res.stats["max_distinct"] = worst
+              summary.status == "PASSED", max_distinct=summary.max_distinct,
+              violations=len(summary.violation_witnesses), errors=summary.errors)
+    res.stats["max_distinct"] = summary.max_distinct
     res.stats["bound"] = bound
     if m >= 3:
         res.stats["bound_alt_variant"] = survivor_bound_alt(m)
@@ -655,42 +638,24 @@ def _suite_lemmas(trials: int, seed: int, max_n: int, epsilon: float) -> VerifyR
     res = VerifyResult("lemmas")
     plan = [(1, max(1, trials // 10)), (2, trials), (3, max(1, (3 * trials) // 10))]
     for m, count in plan:
-        worst_primary = 0
-        worst_undercut = 0
-        worst_primary_distinct = 0
-        worst_secondary_distinct = 0
+        worst = dict.fromkeys(("primary_count", "primary_distinct", "undercut",
+                               "secondary_distinct"), 0)
         bad: dict[str, int] = {}
-        for i in range(count):
-            rng = _trial_rng(seed + m, i)
-            n = int(rng.integers(2, max_n + 1))
-            alphas, _ = _draw_alphas(rng, m, n)
+        config = _uniform_config(m, count, seed + m, max_n, epsilon)
+        for _, alphas, n, _ in _enumerate_trials(config):
             profile = approximation_profile(alphas, n, epsilon=epsilon)
-            pc = len(profile.primary)
-            worst_primary = max(worst_primary, pc)
-            if pc > primary_count_bound(m):
-                bad["primary_count"] = bad.get("primary_count", 0) + 1
-            if m == 2:
-                worst_primary_distinct = max(worst_primary_distinct,
-                                             profile.primary_distinct)
-                if profile.primary_distinct > PRIMARY_DISTINCT_BOUND_2D:
-                    bad["primary_distinct"] = bad.get("primary_distinct", 0) + 1
-            if profile.undercut is not None:
-                worst_undercut = max(worst_undercut, profile.undercut)
-                if profile.undercut > undercut_bound(m):
-                    bad["undercut"] = bad.get("undercut", 0) + 1
-            worst_secondary_distinct = max(worst_secondary_distinct,
-                                           profile.secondary_distinct)
-            if profile.secondary and (profile.secondary_distinct
-                                      > secondary_distinct_bound(m)):
-                bad["secondary_distinct"] = bad.get("secondary_distinct", 0) + 1
+            for name, value, bound in profile_checks(profile):
+                worst[name] = max(worst[name], value)
+                if value > bound:
+                    bad[name] = bad.get(name, 0) + 1
         res.check(
             f"m={m}: primary count <= {primary_count_bound(m)}, "
             f"undercut <= {undercut_bound(m)} over {count} trials",
             not bad,
-            worst_primary=worst_primary,
-            worst_undercut=worst_undercut,
-            worst_primary_distinct=worst_primary_distinct,
-            worst_secondary_distinct=worst_secondary_distinct,
+            worst_primary=worst["primary_count"],
+            worst_undercut=worst["undercut"],
+            worst_primary_distinct=worst["primary_distinct"],
+            worst_secondary_distinct=worst["secondary_distinct"],
             violations=bad,
         )
     return res
@@ -732,17 +697,10 @@ def _suite_oracle(trials: int, seed: int, max_n: int, oracle_cap: int,
     res = VerifyResult("oracle")
     cap = min(max_n, oracle_cap)
     for m in (1, 2, 3):
-        mismatches = 0
-        for i in range(trials):
-            rng = _trial_rng(seed + m, i)
-            n = int(rng.integers(2, cap + 1))
-            alphas, _ = _draw_alphas(rng, m, n)
-            swept = survivors_sweep(alphas, n, epsilon=epsilon)
-            brute = survivors_brute(alphas, n, epsilon=epsilon, oracle_cap=oracle_cap)
-            if not _reports_agree(swept, brute):
-                mismatches += 1
+        report = cross_check(_uniform_config(m, trials, seed + m, cap, epsilon,
+                                             oracle_cap))
         res.check(f"sweep == brute on {trials} trials (m={m}, n <= {cap})",
-                  mismatches == 0, mismatches=mismatches)
+                  report.passed, mismatches=len(report.mismatches))
     return res
 
 
@@ -834,12 +792,7 @@ def dual_mode_agreement(instances: int = 200, *, seed: int = 0,
         float_rep = survivors_sweep(floats, n, epsilon=epsilon)
         prof_e = _profile_outcome(approximation_profile(fracs, n))
         prof_f = _profile_outcome(approximation_profile(floats, n, epsilon=epsilon))
-        same = (exact_rep.survivors == float_rep.survivors
-                and exact_rep.distinct_count == float_rep.distinct_count
-                and all(abs(a - b) <= 1e-9 for a, b in
-                        zip(exact_rep.distinct_lengths, float_rep.distinct_lengths))
-                and prof_e == prof_f)
-        if not same:
+        if not (_reports_agree(exact_rep, float_rep, 1e-9) and prof_e == prof_f):
             report.mismatches.append({
                 "instance": i,
                 "alphas": [_num_to_json(f) for f in fracs],

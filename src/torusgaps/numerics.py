@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -39,15 +39,6 @@ def frac_array(x: np.ndarray) -> np.ndarray:
     return f
 
 
-def is_exact(x: Real) -> bool:
-    """True for ints and Fractions (values that support exact arithmetic)."""
-    return isinstance(x, Rational)
-
-
-def all_exact(values: Iterable[Real]) -> bool:
-    return all(is_exact(v) for v in values)
-
-
 def coerce_components(values: Sequence[Real]) -> tuple[list[Real], bool]:
     """Normalize a vector of generators to a single numeric mode.
 
@@ -57,7 +48,7 @@ def coerce_components(values: Sequence[Real]) -> tuple[list[Real], bool]:
     values = list(values)
     if not values:
         raise ValueError("empty generator vector")
-    if all_exact(values):
+    if all(isinstance(v, Rational) for v in values):
         return [Fraction(v) for v in values], True
     out = []
     for v in values:

@@ -200,6 +200,33 @@ def test_sweep_invalid_json(capsys, tmp_path):
     assert code == 1
 
 
+def test_unreadable_and_unwritable_paths_are_usage_errors(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "sweep", str(tmp_path / "missing.json"))
+    assert code == 1
+    assert err.startswith("torusgaps: error:") and "missing.json" in err
+    code, _, err = run_cli(capsys, "survivors", "0.3,0.2", "10",
+                           "--svg", str(tmp_path / "no" / "x.svg"))
+    assert code == 1
+    assert err.startswith("torusgaps: error:") and "x.svg" in err
+
+
+def test_commands_take_only_the_flags_they_read(capsys, tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"m": 1, "n_values": [5],
+                                    "alpha_source": {"kind": "uniform_random",
+                                                     "trials": 2}}))
+    code, _, err = run_cli(capsys, "sweep", str(cfg_path), "--epsilon", "1e-5")
+    assert code == 1
+    assert "unrecognized arguments" in err
+    code, _, err = run_cli(capsys, "verify", "planar", "--format", "csv")
+    assert code == 1
+    assert "invalid choice" in err
+    for argv in (["gaps", "0.3", "3", "--seed", "1"],
+                 ["verify", "planar", "--exact"],
+                 ["sweep", str(cfg_path), "--seed", "1"]):
+        assert main(argv) == 1
+
+
 def test_mixed_mode_warning(capsys):
     code, _, err = run_cli(capsys, "survivors", "1/3,0.4", "5")
     assert code == 0

@@ -78,6 +78,14 @@ def test_config_rejects_bad_sources():
             alpha_source={"kind": "explicit", "alphas": [[0.3]]}))  # m mismatch
 
 
+@pytest.mark.parametrize("component", ["1/0", "abc"])
+def test_config_rejects_unparseable_component(component):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(cfg_dict(
+            alpha_source={"kind": "explicit", "alphas": [[0.3, 0.4], [0.1, component]]}))
+    assert err.value.offending == ["alpha_source.alphas[1]"]
+
+
 def test_trial_enumeration_is_seed_deterministic():
     cfg1 = config_from_dict(cfg_dict())
     cfg2 = config_from_dict(cfg_dict())
@@ -253,6 +261,11 @@ def test_verify_suite_rejects_unknown_name():
         verify_suite("bogus")
 
 
+def test_verify_suite_rejects_max_n_below_two():
+    with pytest.raises(ValueError, match="max_n"):
+        verify_suite("planar", trials=2, max_n=1)
+
+
 @pytest.mark.parametrize("suite", ["one_d", "planar", "higher", "lemmas",
                                    "classical", "oracle"])
 def test_verify_suites_pass_at_smoke_scale(suite):
@@ -320,3 +333,21 @@ def test_computation_errors_are_recorded_not_swallowed():
     summary = run_sweep(config_from_dict(cfg_dict(
         alpha_source={"kind": "explicit", "alphas": [[0.3, 0.4]]})))
     assert summary.errors == 0
+
+
+def test_counting_checks_read_one_table(monkeypatch, capsys):
+    # run_trial, the lemmas suite and the denominators command all read
+    # their ceilings from denominators.profile_checks, so one patched
+    # ceiling reaches all three.
+    import torusgaps.denominators as dn
+    from torusgaps.cli import main
+    profile = dn.approximation_profile([0.31, 0.47], 20)
+    assert [name for name, _, _ in dn.profile_checks(profile)][:2] == [
+        "primary_count", "primary_distinct"]
+    monkeypatch.setattr(dn, "primary_count_bound", lambda m: -1)
+    assert "primary_count" in run_trial(0, [0.31, 0.47], 20).violations
+    result = verify_suite("lemmas", trials=8, seed=3, max_n=40)
+    assert not result.passed
+    assert all(info["violations"]["primary_count"] > 0 for _, _, info in result.checks)
+    assert main(["denominators", "0.3,0.2", "10"]) == 2
+    assert "FAIL  primary count" in capsys.readouterr().out
