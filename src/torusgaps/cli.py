@@ -23,14 +23,16 @@ from .denominators import _profile, _Table, profile_checks
 from .experiments import (
     VERIFY_SUITES,
     ConfigError,
+    _num_to_json,
     load_config,
     run_sweep,
     verify_suite,
 )
 from .gaps import gap_spectrum
-from .numerics import Real
+from .numerics import EPSILON, Real
 from .svgplot import render_survivors_svg
-from .tournament import survivor_bound, survivors_brute, survivors_sweep
+from .tournament import (ORACLE_CAP, survivor_bound, survivors_brute,
+                         survivors_sweep)
 
 USAGE_ERROR = 1
 VIOLATION = 2
@@ -77,19 +79,15 @@ def parse_alphas(text: str, exact: bool = False) -> list[Real]:
 
 
 def fmt_real(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
     if isinstance(v, float):
         return f"{v:.12g}"
-    return str(v)
+    return str(_num_to_json(v))
 
 
 def _jsonable(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    return v
+    return _num_to_json(v)
 
 
 def _emit_json(payload: dict) -> None:
@@ -377,7 +375,7 @@ def _add_format(p, choices=("table", "csv", "json")) -> None:
 
 
 def _add_epsilon(p) -> None:
-    p.add_argument("--epsilon", type=float, default=1e-9,
+    p.add_argument("--epsilon", type=float, default=EPSILON,
                    help="comparison tolerance in floating mode")
 
 
@@ -414,7 +412,7 @@ def build_parser() -> _Parser:
     p.add_argument("--assert-bound", action="store_true",
                    help="exit 2 if |S| exceeds the dimension bound")
     p.add_argument("--max-m", type=int, default=4, help="largest accepted dimension")
-    p.add_argument("--oracle-cap", type=int, default=200,
+    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP,
                    help="largest n allowed in brute mode")
     p.set_defaults(func=cmd_survivors)
 
@@ -431,7 +429,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--oracle-cap", type=int, default=200)
+    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="run an experiment sweep from a JSON config")

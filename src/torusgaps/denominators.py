@@ -21,10 +21,13 @@ Each has a proof-supplied ceiling (``primary_count_bound`` etc.);
 ceiling, and is the one place those comparisons are decided.
 
 All of it comes from one table of rows q = 1..n, read off the same
-``numerics.Instance`` the tournament engines judge: each row's deviations,
-sign type, length and comparison key.  ``approximation_profile`` returns
-every champion at once, and its ``DenominatorRecord`` entries, like the
-one ``classify`` returns, are rows of that table.  Distinct lengths are
+``numerics.Instance`` the tournament engines judge and held as arrays: an
+(n, m) sign matrix and a vector of comparison keys (exact lattice integers
+in exact mode).  Each champion is one masked expression over a slice of
+them - the q1_perp pool is the rows whose signs differ from q1's on any
+axis, the opposite type differs on every axis.  ``approximation_profile``
+returns every champion at once, and its ``DenominatorRecord`` entries, like
+the one ``classify`` returns, are rows of that table.  Distinct lengths are
 counted with ``numerics.clusters``.
 
 Floating mode applies the comparison tolerance throughout: strictly
@@ -43,7 +46,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from .numerics import ceil_sqrt, clusters, coerce_components, kronecker_instance
+import numpy as np
+
+from .numerics import (EPSILON, ceil_sqrt, clusters, coerce_components,
+                       kronecker_instance)
 
 __all__ = [
     "ApproximationProfile",
@@ -107,10 +113,6 @@ class DenominatorRecord:
     angle: float | None = None
 
 
-def _flip(signs: str) -> str:
-    return "".join("-" if c == "+" else "+" for c in signs)
-
-
 def _angle(devs) -> float | None:
     if len(devs) != 2:
         return None
@@ -119,35 +121,31 @@ def _angle(devs) -> float | None:
 
 
 class _Table:
-    """Per-q rows for q = 1..n: deviations, lengths, comparison keys and
-    sign types, all read off the same ``Instance`` the tournament engines
-    judge, so they agree across modules by construction.  Exact keys are the
-    lattice integers L^2 l(q)^2, and {q a_r} - 1/2 >= 0 reads as 2 x >= L
-    there."""
+    """Rows q = 1..n (row q at index q - 1), read off the same ``Instance``
+    the tournament engines judge, so they agree across modules by
+    construction.  Held as arrays:
+
+    * ``pos`` - the (n, m) sign matrix, True where the sign is '+'; on the
+      lattice {q a_r} - 1/2 >= 0 reads as 2 x >= L;
+    * ``keys`` - the comparison keys: float64 lengths in floating mode, an
+      object array of the exact lattice integers L^2 l(q)^2 in exact mode,
+      so every comparison stays exact past 2**63;
+    * ``lengths`` - the Instance's display lengths.
+
+    A row becomes a ``DenominatorRecord``, sign string and all, only
+    through ``record``."""
 
     def __init__(self, alphas, n: int, epsilon: float):
         comps, self.exact = coerce_components(alphas)
         self.tol = 0 if self.exact else epsilon
         inst = kronecker_instance(comps, self.exact, n)
-        self.points, self.unit = inst.points, inst.unit
-        self.lengths = inst.lengths
-        self.keys = inst.keys
+        self.points, self.unit, self.lengths = inst.points, inst.unit, inst.lengths
+        self.keys = np.array(inst.keys, dtype=object if self.exact else float)
         if self.exact:
-            pos = 2 * inst.points >= inst.unit
+            self.pos = 2 * inst.points >= inst.unit
         else:
             dev = inst.points - 0.5
-            pos = (dev >= -epsilon) & (dev < 0.5 - epsilon)
-        self.signs = ["".join("+" if p else "-" for p in row) for row in pos]
-
-    def length(self, q: int) -> float:
-        return self.lengths[q - 1]
-
-    def key(self, q: int):
-        """Comparison key: the exact lattice key, or the float length."""
-        return self.keys[q - 1]
-
-    def sign(self, q: int) -> str:
-        return self.signs[q - 1]
+            self.pos = (dev >= -epsilon) & (dev < 0.5 - epsilon)
 
     def record(self, q: int) -> DenominatorRecord:
         """Row q: deviations x - 1/2 of its points (x/L - 1/2 on the lattice)."""
@@ -157,22 +155,21 @@ class _Table:
             devs = tuple(Fraction(2 * x - L, 2 * L) for x in row)
         else:
             devs = tuple(x - 0.5 for x in row)
-        return DenominatorRecord(q, devs, self.sign(q), self.length(q), _angle(devs))
+        signs = "".join("+" if p else "-" for p in self.pos[q - 1])
+        return DenominatorRecord(q, devs, signs, self.lengths[q - 1], _angle(devs))
 
-    def strictly_below(self, q: int, ref_key) -> bool:
-        return self.key(q) < ref_key - self.tol
+    def smallest_minimizer(self, qs: np.ndarray) -> int:
+        """The first of the ascending ``qs`` whose key is within tol of
+        their minimum."""
+        keys = self.keys[qs - 1]
+        return int(qs[np.argmax(keys <= keys.min() + self.tol)])
 
-    def smallest_minimizer(self, qs: list[int]) -> int:
-        keys = [self.key(q) for q in qs]
-        mn = min(keys)
-        return min(q for q, k in zip(qs, keys) if k <= mn + self.tol)
-
-    def distinct(self, qs: list[int]) -> int:
+    def distinct(self, qs: np.ndarray) -> int:
         """Number of length clusters among the given q."""
-        return len(clusters([self.key(q) for q in qs], self.tol))
+        return len(clusters(self.keys[qs - 1].tolist(), self.tol))
 
 
-def classify(q: int, alphas, *, epsilon: float = 1e-9) -> DenominatorRecord:
+def classify(q: int, alphas, *, epsilon: float = EPSILON) -> DenominatorRecord:
     """Deviations, sign type, length and angle of a single denominator.
 
     Row q of the table of a is row 1 of the table of q a (the same float
@@ -183,26 +180,15 @@ def classify(q: int, alphas, *, epsilon: float = 1e-9) -> DenominatorRecord:
     return replace(_Table([q * a for a in comps], 1, epsilon).record(1), q=q)
 
 
-def relation(q1: int, q2: int, alphas, *, epsilon: float = 1e-9) -> TypeRelation:
+def relation(q1: int, q2: int, alphas, *, epsilon: float = EPSILON) -> TypeRelation:
     """Compare the sign types of two denominators."""
     a = classify(q1, alphas, epsilon=epsilon).signs
     b = classify(q2, alphas, epsilon=epsilon).signs
     if a == b:
         return TypeRelation.SAME
-    if b == _flip(a):
+    if all(x != y for x, y in zip(a, b)):
         return TypeRelation.OPPOSITE
     return TypeRelation.NEITHER
-
-
-def _perp_pool(table: _Table, n: int, q1: int, strict_opposite: bool) -> list[int]:
-    base = table.sign(q1)
-    flipped = _flip(base)
-    pool = []
-    for q in range(1, n - q1 + 1):
-        s = table.sign(q)
-        if (s == flipped) if strict_opposite else (s != base):
-            pool.append(q)
-    return pool
 
 
 @dataclass
@@ -229,7 +215,8 @@ class ApproximationProfile:
     secondary_distinct: int
 
 
-def approximation_profile(alphas, n: int, *, epsilon: float = 1e-9) -> ApproximationProfile:
+def approximation_profile(alphas, n: int, *,
+                          epsilon: float = EPSILON) -> ApproximationProfile:
     """One-pass extraction of q1, q2 (both pool variants), the primary and
     secondary denominators, their distinct-length counts, and the undercut
     count."""
@@ -237,40 +224,45 @@ def approximation_profile(alphas, n: int, *, epsilon: float = 1e-9) -> Approxima
 
 
 def _profile(table: _Table) -> ApproximationProfile:
-    """The approximation profile of a table of rows q = 1..n, n >= 2."""
+    """The approximation profile of a table of rows q = 1..n, n >= 2: each
+    champion is one masked expression over a slice of the table's arrays."""
     n = len(table.lengths)
     if n < 2:
         raise ValueError("n must be >= 2")
-    q1 = table.smallest_minimizer(list(range(1, n // 2 + 1)))
-    ref1 = table.key(q1)
-    primary = [q for q in range(n // 2 + 1, n + 1) if table.strictly_below(q, ref1)]
+    keys, tol, lengths = table.keys, table.tol, table.lengths
+    h = n // 2
+    q1 = table.smallest_minimizer(np.arange(1, h + 1))
+    primary = h + 1 + np.flatnonzero(keys[h:] < keys[q1 - 1] - tol)
 
-    pool = _perp_pool(table, n, q1, strict_opposite=False)
-    strict_pool = _perp_pool(table, n, q1, strict_opposite=True)
-    q2 = table.smallest_minimizer(pool) if pool else None
-    q2_strict = table.smallest_minimizer(strict_pool) if strict_pool else None
+    # Axis by axis, whether q's sign differs from q1's, for q = 1..n; the
+    # type is opposite where every axis differs.
+    differs = table.pos != table.pos[q1 - 1]
+    opposite = differs.all(axis=1)
+    pool = 1 + np.flatnonzero(differs[:n - q1].any(axis=1))
+    strict_pool = 1 + np.flatnonzero(opposite[:n - q1])
+    q2 = table.smallest_minimizer(pool) if pool.size else None
+    q2_strict = table.smallest_minimizer(strict_pool) if strict_pool.size else None
 
-    secondary: list[int] = []
+    secondary = np.zeros(0, dtype=int)
     undercut: int | None = None
     if q2 is not None:
-        ref2 = table.key(q2)
-        flipped = _flip(table.sign(q1))
-        secondary = [q for q in range(n - q1 + 1, n + 1)
-                     if table.sign(q) == flipped and table.strictly_below(q, ref2)]
-        undercut = sum(1 for q in range(1, q1) if table.strictly_below(q, ref2))
+        ref2 = keys[q2 - 1] - tol
+        secondary = n - q1 + 1 + np.flatnonzero(opposite[n - q1:]
+                                                & (keys[n - q1:] < ref2))
+        undercut = int(np.count_nonzero(keys[:q1 - 1] < ref2))
 
     return ApproximationProfile(
         m=table.points.shape[1],
         n=n,
         q1=q1,
-        q1_length=table.length(q1),
-        q1_perp=pool,
+        q1_length=lengths[q1 - 1],
+        q1_perp=pool.tolist(),
         q2=q2,
-        q2_length=table.length(q2) if q2 is not None else None,
+        q2_length=lengths[q2 - 1] if q2 is not None else None,
         q2_strict=q2_strict,
-        q2_strict_length=table.length(q2_strict) if q2_strict is not None else None,
-        primary=[table.record(q) for q in primary],
-        secondary=[table.record(q) for q in secondary],
+        q2_strict_length=lengths[q2_strict - 1] if q2_strict is not None else None,
+        primary=[table.record(q) for q in primary.tolist()],
+        secondary=[table.record(q) for q in secondary.tolist()],
         undercut=undercut,
         primary_distinct=table.distinct(primary),
         secondary_distinct=table.distinct(secondary),

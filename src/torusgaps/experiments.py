@@ -17,8 +17,8 @@ one ``cross_check`` per dimension, and the gap half of ``one_d`` and
 its own (multi-parameter) instances.
 
 Determinism: trial i draws from ``numpy.random.default_rng([seed, i])``,
-so a config's seed fully fixes the trial stream, trials are independent,
-and summaries merge commutatively.
+so a config's seed fully fixes the trial stream and trials are
+independent.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ import numpy as np
 from .denominators import (approximation_profile, primary_count_bound,
                            profile_checks, undercut_bound)
 from .gaps import chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
-from .numerics import Real
-from .tournament import (survivor_bound, survivor_bound_alt, survivors_brute,
-                         survivors_sweep)
+from .numerics import EPSILON, Real
+from .tournament import (ORACLE_CAP, survivor_bound, survivor_bound_alt,
+                         survivors_brute, survivors_sweep)
 
 __all__ = [
     "ConfigError",
@@ -119,8 +119,8 @@ class ExperimentConfig:
     m: int
     alpha_source: UniformRandom | QuadraticIrrationals | RationalGrid | Explicit
     n_values: list[int]
-    epsilon: float = 1e-9
-    oracle_cap: int = 200
+    epsilon: float = EPSILON
+    oracle_cap: int = ORACLE_CAP
     seed: int = 0
     output: OutputSpec = field(default_factory=OutputSpec)
 
@@ -133,6 +133,7 @@ class ExperimentConfig:
 
 
 def _num_to_json(v: Real):
+    """A Fraction as the text "p/q"; any other value unchanged."""
     return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
 
 
@@ -217,10 +218,10 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if (not isinstance(n_values, list) or not n_values
             or not all(isinstance(n, int) and n >= 2 for n in n_values)):
         offending.append("n_values")
-    epsilon = d.get("epsilon", 1e-9)
+    epsilon = d.get("epsilon", EPSILON)
     if not isinstance(epsilon, (int, float)) or epsilon < 0:
         offending.append("epsilon")
-    oracle_cap = d.get("oracle_cap", 200)
+    oracle_cap = d.get("oracle_cap", ORACLE_CAP)
     if not isinstance(oracle_cap, int) or oracle_cap < 2:
         offending.append("oracle_cap")
     seed = d.get("seed", 0)
@@ -335,11 +336,7 @@ class TrialRecord:
 
     def csv_row(self) -> list:
         def cell(v):
-            if v is None:
-                return ""
-            if isinstance(v, Fraction):
-                return f"{v.numerator}/{v.denominator}"
-            return v
+            return "" if v is None else _num_to_json(v)
 
         return ([self.trial_id, self.m, self.n]
                 + [cell(a) for a in self.alphas]
@@ -392,24 +389,6 @@ class SweepSummary:
         if record.violations:
             self.violation_witnesses.append(record.to_json_dict())
 
-    def merge(self, other: "SweepSummary") -> "SweepSummary":
-        """Commutative, order-independent combination of two summaries."""
-        out = SweepSummary(config=self.config)
-        out.records = self.records + other.records
-        out.trials = self.trials + other.trials
-        out.max_distinct = max(self.max_distinct, other.max_distinct)
-        for hist in (self.distinct_histogram, other.distinct_histogram):
-            for k, v in hist.items():
-                out.distinct_histogram[k] = out.distinct_histogram.get(k, 0) + v
-        for viol in (self.violations, other.violations):
-            for k, v in viol.items():
-                out.violations[k] = out.violations.get(k, 0) + v
-        out.violation_witnesses = self.violation_witnesses + other.violation_witnesses
-        out.rejected_draws = self.rejected_draws + other.rejected_draws
-        out.errors = self.errors + other.errors
-        out.sink_errors = self.sink_errors + other.sink_errors
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "config": self.config,
@@ -438,7 +417,8 @@ def _gap_match(values: Sequence[float], targets: Sequence[float], tol: float) ->
     return all(any(abs(v - t) <= tol for t in targets) for v in values)
 
 
-def run_trial(trial_id: int, alphas: list, n: int, *, epsilon: float = 1e-9) -> TrialRecord:
+def run_trial(trial_id: int, alphas: list, n: int, *,
+              epsilon: float = EPSILON) -> TrialRecord:
     """Survivors, approximation profile, and bound checks for one instance."""
     m = len(alphas)
     record = TrialRecord(trial_id=trial_id, m=m, n=n, alphas=list(alphas))
@@ -582,7 +562,7 @@ class VerifyResult:
 
 
 def _uniform_config(m: int, trials: int, seed: int, max_n: int, epsilon: float,
-                    oracle_cap: int = 200) -> ExperimentConfig:
+                    oracle_cap: int = ORACLE_CAP) -> ExperimentConfig:
     """A suite's trial stream: ``trials`` uniform draws, n uniform in [2, max_n]."""
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
@@ -717,14 +697,16 @@ _SUITE_DEFAULTS = {
 
 
 def verify_suite(name: str, *, trials: int | None = None, seed: int = 0,
-                 max_n: int | None = None, oracle_cap: int = 200,
-                 epsilon: float = 1e-9) -> VerifyResult:
+                 max_n: int | None = None, oracle_cap: int = ORACLE_CAP,
+                 epsilon: float = EPSILON) -> VerifyResult:
     """Run one named verification suite at the given scale."""
     if name not in VERIFY_SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of {', '.join(VERIFY_SUITES)}")
     d_trials, d_max_n = _SUITE_DEFAULTS[name]
     trials = d_trials if trials is None else trials
     max_n = d_max_n if max_n is None else max_n
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if name == "one_d":
         return _suite_one_d(trials, seed, max_n, epsilon)
     if name == "planar":
@@ -770,12 +752,14 @@ def _profile_outcome(p) -> dict:
 
 def dual_mode_agreement(instances: int = 200, *, seed: int = 0,
                         max_denominator: int = 50, max_n: int = 40,
-                        epsilon: float = 1e-9) -> AgreementReport:
+                        epsilon: float = EPSILON) -> AgreementReport:
     """Rational instances run in exact mode and as floats must produce the
     same survivor edge set, the same distinct lengths, and the same
     approximation profile: q1, both q2 variants, the q1_perp pool, the
     primary and secondary denominators with their signs, the undercut count
     and both distinct-length counts."""
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
     report = AgreementReport()
     for i in range(instances):
         rng = _trial_rng(seed, i)

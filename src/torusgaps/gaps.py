@@ -31,7 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import Real, clusters, coerce_components, frac_array, lattice
+from .numerics import (EPSILON, Real, clusters, coerce_components, frac_array,
+                       lattice)
 
 __all__ = ["GapSpectrum", "gap_spectrum", "chung_graham_gaps", "geelen_simpson_gaps"]
 
@@ -88,7 +89,7 @@ def _assemble(points: np.ndarray, labels: list, epsilon: float,
     return GapSpectrum(pts, labs, gaps, distinct, circular, exact)
 
 
-def gap_spectrum(alpha: Real, n: int, *, epsilon: float = 1e-9,
+def gap_spectrum(alpha: Real, n: int, *, epsilon: float = EPSILON,
                  circular: bool = False) -> GapSpectrum:
     """Spectrum of {k*alpha}, k = 1..n.
 
@@ -109,7 +110,7 @@ def gap_spectrum(alpha: Real, n: int, *, epsilon: float = 1e-9,
 
 
 def chung_graham_gaps(alpha: Real, lambdas: list, n_list: list[int], *,
-                      epsilon: float = 1e-9, circular: bool = True) -> GapSpectrum:
+                      epsilon: float = EPSILON, circular: bool = True) -> GapSpectrum:
     """Spectrum of the merged set {k*alpha + lambda_i}, 1 <= k <= n_i.
 
     The distinct gap count of d shifted copies stays below 3d; that check
@@ -136,7 +137,7 @@ def chung_graham_gaps(alpha: Real, lambdas: list, n_list: list[int], *,
 
 
 def geelen_simpson_gaps(alpha: Real, beta: Real, n1: int, n2: int, *,
-                        epsilon: float = 1e-9, circular: bool = True) -> GapSpectrum:
+                        epsilon: float = EPSILON, circular: bool = True) -> GapSpectrum:
     """Spectrum of {k1*alpha + k2*beta}, 0 <= k1 < n1, 0 <= k2 < n2.
 
     The distinct gap bound n1 + 3 is stated for the first multiplier; the

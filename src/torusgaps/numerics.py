@@ -27,6 +27,9 @@ import numpy as np
 
 Real = Union[int, float, Fraction]
 
+# The default comparison tolerance of floating mode.
+EPSILON = 1e-9
+
 
 def frac_array(x: np.ndarray) -> np.ndarray:
     """Elementwise fractional part in [0, 1).

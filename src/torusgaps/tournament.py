@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (Instance, ceil_sqrt, clusters, coerce_components,
-                       kronecker_instance)
+from .numerics import (EPSILON, Instance, ceil_sqrt, clusters,
+                       coerce_components, kronecker_instance)
 
 __all__ = [
     "SurvivorReport",
@@ -55,6 +55,9 @@ __all__ = [
     "survivors_brute",
     "survivors_sweep",
 ]
+
+# The default largest n of the brute-force oracle.
+ORACLE_CAP = 200
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +326,7 @@ def _brute(inst: Instance, epsilon: float) -> SurvivorReport:
 # Public entry points
 # ---------------------------------------------------------------------------
 
-def survivors_sweep(alphas, n: int, *, epsilon: float = 1e-9) -> SurvivorReport:
+def survivors_sweep(alphas, n: int, *, epsilon: float = EPSILON) -> SurvivorReport:
     """Undefeated-edge length set via the grouped coverage sweep."""
     comps, exact = coerce_components(alphas)
     if n < 2:
@@ -331,15 +334,15 @@ def survivors_sweep(alphas, n: int, *, epsilon: float = 1e-9) -> SurvivorReport:
     return _sweep(kronecker_instance(comps, exact, n), epsilon)
 
 
-def survivors_brute(alphas, n: int, *, epsilon: float = 1e-9,
-                    oracle_cap: int = 200) -> SurvivorReport:
+def survivors_brute(alphas, n: int, *, epsilon: float = EPSILON,
+                    oracle_cap: int = ORACLE_CAP) -> SurvivorReport:
     """Undefeated-edge length set via the pairwise defeat relation.
 
     Edges are judged in tiles of bounded size against chunks of the edges
     of strictly shorter groups.  An edge drops out at the first chunk that
     defeats it, which is usually the first; only the survivors scan all
     shorter edges.  The work still grows with the square of the edge count
-    for the survivors, so n is capped (default 200); raise the cap
+    for the survivors, so n is capped (default ``ORACLE_CAP``); raise the cap
     explicitly when you really want a bigger oracle run."""
     comps, exact = coerce_components(alphas)
     if n < 2:

@@ -161,6 +161,12 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "bogus")
     assert code == 1
     assert "invalid choice" in err
+    for argv, name in ((["planar", "--trials", "-3"], "trials"),
+                       (["oracle", "--trials", "0"], "trials"),
+                       (["planar", "--max-n", "1"], "max_n")):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1 and "PASS" not in out
+        assert err.startswith("torusgaps: error:") and name in err
 
 
 def test_sweep_command(capsys, tmp_path):

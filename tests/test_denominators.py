@@ -193,48 +193,82 @@ def test_angle_tangent_consistency():
 
 def exhaustive_profile(alphas, n, eps=1e-9):
     """Independent oracle: the profile's definitions read straight off
-    per-q scalar circle arithmetic (lengths by ``circle_norm``, signs by
-    ``signed_deviation`` with the same epsilon guards)."""
-    length = {q: math.sqrt(sum(circle_norm(q * a) ** 2 for a in alphas))
-              for q in range(1, n + 1)}
-
-    def sign(q):
-        devs = [signed_deviation(q * a) for a in alphas]
-        return "".join("+" if -eps <= d < 0.5 - eps else "-" for d in devs)
+    per-q scalar circle arithmetic (signs by ``signed_deviation`` with the
+    same epsilon guards).  Floating lengths come from ``circle_norm`` and
+    compare within eps; exact inputs (all Fractions) compare the squared
+    ``circle_norm`` Fractions at tolerance 0."""
+    exact = all(isinstance(a, Fraction) for a in alphas)
+    eps = 0 if exact else eps
+    key = {}
+    for q in range(1, n + 1):
+        sq = sum(circle_norm(q * a) ** 2 for a in alphas)
+        key[q] = sq if exact else math.sqrt(sq)
+    sign = {q: "".join("+" if -eps <= d < 0.5 - eps else "-"
+                       for d in (signed_deviation(q * a) for a in alphas))
+            for q in range(1, n + 1)}
 
     def smallest_minimizer(qs):
-        best = min(length[q] for q in qs)
-        return min(q for q in qs if length[q] <= best + eps)
+        best = min(key[q] for q in qs)
+        return min(q for q in qs if key[q] <= best + eps)
 
     def flip(s):
         return s.translate(str.maketrans("+-", "-+"))
 
     q1 = smallest_minimizer(range(1, n // 2 + 1))
-    primary = [q for q in range(n // 2 + 1, n + 1) if length[q] < length[q1] - eps]
-    pool = [q for q in range(1, n - q1 + 1) if sign(q) != sign(q1)]
+    primary = [q for q in range(n // 2 + 1, n + 1) if key[q] < key[q1] - eps]
+    pool = [q for q in range(1, n - q1 + 1) if sign[q] != sign[q1]]
+    strict_pool = [q for q in range(1, n - q1 + 1) if sign[q] == flip(sign[q1])]
     q2 = smallest_minimizer(pool) if pool else None
+    q2_strict = smallest_minimizer(strict_pool) if strict_pool else None
     secondary, undercut = [], None
     if q2 is not None:
         secondary = [q for q in range(n - q1 + 1, n + 1)
-                     if sign(q) == flip(sign(q1)) and length[q] < length[q2] - eps]
-        undercut = sum(length[q] < length[q2] - eps for q in range(1, q1))
-    return q1, length[q1], primary, q2, secondary, undercut
+                     if sign[q] == flip(sign[q1]) and key[q] < key[q2] - eps]
+        undercut = sum(key[q] < key[q2] - eps for q in range(1, q1))
+    length = math.sqrt(key[q1]) if exact else key[q1]
+    return {"q1": q1, "q1_length": length, "primary": primary, "q1_perp": pool,
+            "q2": q2, "q2_strict": q2_strict, "secondary": secondary,
+            "undercut": undercut, "max_key": max(key.values())}
 
 
-def test_profile_consistency_with_individual_operations():
+def _consistency_instances():
+    """Floats, small-denominator rationals exact and as floats, and wide
+    lattices (L > 2**32, so exact keys L^2 l^2 pass 2**63), m = 1..3."""
     rng = np.random.default_rng(11)
     for _ in range(25):
         m = int(rng.integers(1, 4))
-        n = int(rng.integers(4, 60))
-        alphas = rng.random(m).tolist()
+        yield rng.random(m).tolist(), int(rng.integers(4, 60))
+    for i in range(30):
+        m = 1 + i % 3
+        fracs = [Fraction(int(rng.integers(1, d)), int(d))
+                 for d in rng.integers(2, 40, size=m)]
+        n = int(rng.integers(4, 300))
+        yield fracs, n
+        yield [float(f) for f in fracs], n
+    for i in range(9):
+        m = 1 + i % 3
+        fracs = [Fraction(int(rng.integers(1, d)), int(d))
+                 for d in rng.integers(2 ** 33, 2 ** 40, size=m)]
+        yield fracs, int(rng.integers(2, 2000))
+
+
+def test_profile_consistency_with_individual_operations():
+    wide = 0
+    for alphas, n in _consistency_instances():
         profile = approximation_profile(alphas, n)
-        q1, l1, primary, q2, secondary, undercut = exhaustive_profile(alphas, n)
-        assert profile.q1 == q1
-        assert profile.q1_length == pytest.approx(l1)
-        assert [r.q for r in profile.primary] == primary
-        assert profile.q2 == q2
-        assert [r.q for r in profile.secondary] == secondary
-        assert profile.undercut == undercut
+        want = exhaustive_profile(alphas, n)
+        assert profile.q1 == want["q1"]
+        assert profile.q1_length == pytest.approx(want["q1_length"])
+        assert [r.q for r in profile.primary] == want["primary"]
+        assert profile.q1_perp == want["q1_perp"]
+        assert profile.q2 == want["q2"]
+        assert profile.q2_strict == want["q2_strict"]
+        assert [r.q for r in profile.secondary] == want["secondary"]
+        assert profile.undercut == want["undercut"]
+        if isinstance(alphas[0], Fraction):
+            L = math.lcm(*(a.denominator for a in alphas))
+            wide += L > 2 ** 32 and want["max_key"] * L * L > 2 ** 63
+    assert wide == 9
 
 
 def test_q1_minimality_is_directly_assertable():

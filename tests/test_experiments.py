@@ -202,18 +202,6 @@ def test_run_sweep_is_byte_deterministic():
     assert run_sweep(cfg_a).to_json() == run_sweep(cfg_b).to_json()
 
 
-def test_summary_merge_is_commutative_monoid():
-    a = run_sweep(config_from_dict(cfg_dict(seed=1)))
-    b = run_sweep(config_from_dict(cfg_dict(seed=2,
-                                            alpha_source={"kind": "uniform_random",
-                                                          "trials": 4})))
-    ab, ba = a.merge(b), b.merge(a)
-    assert ab.max_distinct == max(a.max_distinct, b.max_distinct)
-    assert ab.trials == a.trials + b.trials == ba.trials
-    assert ab.distinct_histogram == ba.distinct_histogram
-    assert ab.violations == ba.violations
-
-
 def test_cross_check_passes_and_validates_cap():
     cfg = config_from_dict(cfg_dict())
     report = cross_check(cfg)
@@ -261,9 +249,22 @@ def test_verify_suite_rejects_unknown_name():
         verify_suite("bogus")
 
 
-def test_verify_suite_rejects_max_n_below_two():
-    with pytest.raises(ValueError, match="max_n"):
-        verify_suite("planar", trials=2, max_n=1)
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: verify_suite("planar", trials=2, max_n=1), "max_n",
+                 id="planar-max_n"),
+    pytest.param(lambda: verify_suite("planar", trials=-3), "trials",
+                 id="planar-trials"),
+    pytest.param(lambda: verify_suite("oracle", trials=0), "trials",
+                 id="oracle-trials"),
+    pytest.param(lambda: verify_suite("classical", trials=0), "trials",
+                 id="classical-trials"),
+    pytest.param(lambda: dual_mode_agreement(instances=0), "instances",
+                 id="dual_mode-instances"),
+])
+def test_verify_suite_rejects_max_n_below_two(call, name):
+    # A suite over no trials would pass vacuously; it is a usage error.
+    with pytest.raises(ValueError, match=name):
+        call()
 
 
 @pytest.mark.parametrize("suite", ["one_d", "planar", "higher", "lemmas",
