@@ -15,7 +15,7 @@ on the m-torus:
 plus a CLI (``torusgaps``) exposing all of it.
 """
 
-from .circle import Arc, ArcKind, circle_norm, fractional_part, geodesic, signed_deviation
+from .circle import circle_norm, fractional_part, signed_deviation
 from .denominators import (
     ApproximationProfile,
     DenominatorRecord,
@@ -28,19 +28,11 @@ from .denominators import (
     undercut_bound,
 )
 from .gaps import GapSpectrum, chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
-from .tournament import (
-    SurvivorReport,
-    survivor_bound,
-    survivor_bound_alt,
-    survivors_brute,
-    survivors_sweep,
-)
+from .tournament import SurvivorReport, survivor_bound, survivors_brute, survivors_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc",
-    "ArcKind",
     "ApproximationProfile",
     "DenominatorRecord",
     "GapSpectrum",
@@ -53,13 +45,11 @@ __all__ = [
     "fractional_part",
     "gap_spectrum",
     "geelen_simpson_gaps",
-    "geodesic",
     "primary_count_bound",
     "relation",
     "secondary_distinct_bound",
     "signed_deviation",
     "survivor_bound",
-    "survivor_bound_alt",
     "survivors_brute",
     "survivors_sweep",
     "undercut_bound",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from .experiments import (
     verify_suite,
 )
 from .gaps import gap_spectrum
-from .numerics import EPSILON, Real
+from .numerics import EPSILON, Real, kronecker_instance
 from .svgplot import render_survivors_svg
 from .tournament import (ORACLE_CAP, survivor_bound, survivors_brute,
                          survivors_sweep)
@@ -243,7 +244,7 @@ def cmd_denominators(args) -> int:
     alphas = parse_alphas(args.alphas, args.exact)
     m = len(alphas)
     # One table serves the profile and every printed row.
-    table = _Table(alphas, args.n, args.epsilon)
+    table = _Table(kronecker_instance(alphas, args.n), args.epsilon)
     profile = _profile(table)
     checks = [(_CHECK_LABELS[name], value, bound)
               for name, value, bound in profile_checks(profile)]
@@ -320,8 +321,7 @@ def cmd_denominators(args) -> int:
 
 def cmd_verify(args) -> int:
     result = verify_suite(args.suite, trials=args.trials, seed=args.seed,
-                          max_n=args.max_n, oracle_cap=args.oracle_cap,
-                          epsilon=args.epsilon)
+                          max_n=args.max_n, epsilon=args.epsilon)
     if args.format == "json":
         _emit_json({
             "suite": result.suite,
@@ -374,9 +374,17 @@ def _add_format(p, choices=("table", "csv", "json")) -> None:
     p.add_argument("--format", choices=choices, default="table", help="output format")
 
 
+def parse_epsilon(text: str) -> float:
+    """A tolerance: a finite real >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _add_epsilon(p) -> None:
-    p.add_argument("--epsilon", type=float, default=EPSILON,
-                   help="comparison tolerance in floating mode")
+    p.add_argument("--epsilon", type=parse_epsilon, default=EPSILON,
+                   help="comparison tolerance in floating mode (finite, >= 0)")
 
 
 def build_parser() -> _Parser:
@@ -429,7 +437,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="run an experiment sweep from a JSON config")

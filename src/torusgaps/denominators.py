@@ -48,8 +48,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import (EPSILON, ceil_sqrt, clusters, coerce_components,
-                       kronecker_instance)
+from .numerics import (EPSILON, Instance, ceil_sqrt, clusters,
+                       coerce_components, kronecker_instance)
 
 __all__ = [
     "ApproximationProfile",
@@ -123,24 +123,21 @@ def _angle(devs) -> float | None:
 class _Table:
     """Rows q = 1..n (row q at index q - 1), read off the same ``Instance``
     the tournament engines judge, so they agree across modules by
-    construction.  Held as arrays:
-
-    * ``pos`` - the (n, m) sign matrix, True where the sign is '+'; on the
-      lattice {q a_r} - 1/2 >= 0 reads as 2 x >= L;
-    * ``keys`` - the comparison keys: float64 lengths in floating mode, an
-      object array of the exact lattice integers L^2 l(q)^2 in exact mode,
-      so every comparison stays exact past 2**63;
-    * ``lengths`` - the Instance's display lengths.
+    construction.  The instance's arrays are read in place: its points,
+    its comparison keys (float64 lengths in floating mode, the exact lattice
+    integers L^2 l(q)^2 in exact mode, so every comparison stays exact past
+    2**63) and its display lengths.  The table adds ``pos``, the (n, m)
+    sign matrix, True where the sign is '+'; on the lattice
+    {q a_r} - 1/2 >= 0 reads as 2 x >= L.
 
     A row becomes a ``DenominatorRecord``, sign string and all, only
     through ``record``."""
 
-    def __init__(self, alphas, n: int, epsilon: float):
-        comps, self.exact = coerce_components(alphas)
+    def __init__(self, inst: Instance, epsilon: float):
+        self.exact = inst.exact
         self.tol = 0 if self.exact else epsilon
-        inst = kronecker_instance(comps, self.exact, n)
-        self.points, self.unit, self.lengths = inst.points, inst.unit, inst.lengths
-        self.keys = np.array(inst.keys, dtype=object if self.exact else float)
+        self.points, self.unit = inst.points, inst.unit
+        self.keys, self.lengths = inst.keys, inst.lengths
         if self.exact:
             self.pos = 2 * inst.points >= inst.unit
         else:
@@ -156,7 +153,10 @@ class _Table:
         else:
             devs = tuple(x - 0.5 for x in row)
         signs = "".join("+" if p else "-" for p in self.pos[q - 1])
-        return DenominatorRecord(q, devs, signs, self.lengths[q - 1], _angle(devs))
+        return DenominatorRecord(q, devs, signs, self.length(q), _angle(devs))
+
+    def length(self, q: int) -> float:
+        return float(self.lengths[q - 1])
 
     def smallest_minimizer(self, qs: np.ndarray) -> int:
         """The first of the ascending ``qs`` whose key is within tol of
@@ -177,7 +177,8 @@ def classify(q: int, alphas, *, epsilon: float = EPSILON) -> DenominatorRecord:
     if q < 1:
         raise ValueError("q must be >= 1")
     comps, _ = coerce_components(alphas)
-    return replace(_Table([q * a for a in comps], 1, epsilon).record(1), q=q)
+    table = _Table(kronecker_instance([q * a for a in comps], 1), epsilon)
+    return replace(table.record(1), q=q)
 
 
 def relation(q1: int, q2: int, alphas, *, epsilon: float = EPSILON) -> TypeRelation:
@@ -220,7 +221,7 @@ def approximation_profile(alphas, n: int, *,
     """One-pass extraction of q1, q2 (both pool variants), the primary and
     secondary denominators, their distinct-length counts, and the undercut
     count."""
-    return _profile(_Table(alphas, n, epsilon))
+    return _profile(_Table(kronecker_instance(alphas, n), epsilon))
 
 
 def _profile(table: _Table) -> ApproximationProfile:
@@ -229,7 +230,7 @@ def _profile(table: _Table) -> ApproximationProfile:
     n = len(table.lengths)
     if n < 2:
         raise ValueError("n must be >= 2")
-    keys, tol, lengths = table.keys, table.tol, table.lengths
+    keys, tol = table.keys, table.tol
     h = n // 2
     q1 = table.smallest_minimizer(np.arange(1, h + 1))
     primary = h + 1 + np.flatnonzero(keys[h:] < keys[q1 - 1] - tol)
@@ -255,12 +256,12 @@ def _profile(table: _Table) -> ApproximationProfile:
         m=table.points.shape[1],
         n=n,
         q1=q1,
-        q1_length=lengths[q1 - 1],
+        q1_length=table.length(q1),
         q1_perp=pool.tolist(),
         q2=q2,
-        q2_length=lengths[q2 - 1] if q2 is not None else None,
+        q2_length=table.length(q2) if q2 is not None else None,
         q2_strict=q2_strict,
-        q2_strict_length=lengths[q2_strict - 1] if q2_strict is not None else None,
+        q2_strict_length=table.length(q2_strict) if q2_strict is not None else None,
         primary=[table.record(q) for q in primary.tolist()],
         secondary=[table.record(q) for q in secondary.tolist()],
         undercut=undercut,

@@ -27,6 +27,7 @@ import csv
 import itertools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -38,8 +39,8 @@ from .denominators import (approximation_profile, primary_count_bound,
                            profile_checks, undercut_bound)
 from .gaps import chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
 from .numerics import EPSILON, Real
-from .tournament import (ORACLE_CAP, survivor_bound, survivor_bound_alt,
-                         survivors_brute, survivors_sweep)
+from .tournament import (ORACLE_CAP, survivor_bound, survivors_brute,
+                         survivors_sweep)
 
 __all__ = [
     "ConfigError",
@@ -219,7 +220,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             or not all(isinstance(n, int) and n >= 2 for n in n_values)):
         offending.append("n_values")
     epsilon = d.get("epsilon", EPSILON)
-    if not isinstance(epsilon, (int, float)) or epsilon < 0:
+    # NaN, inf and ints too large for a float all fail the comparison.
+    if not isinstance(epsilon, (int, float)) or not 0 <= epsilon <= sys.float_info.max:
         offending.append("epsilon")
     oracle_cap = d.get("oracle_cap", ORACLE_CAP)
     if not isinstance(oracle_cap, int) or oracle_cap < 2:
@@ -609,8 +611,6 @@ def _survivor_suite(name: str, m: int, trials: int, seed: int, max_n: int,
               violations=len(summary.violation_witnesses), errors=summary.errors)
     res.stats["max_distinct"] = summary.max_distinct
     res.stats["bound"] = bound
-    if m >= 3:
-        res.stats["bound_alt_variant"] = survivor_bound_alt(m)
     return res
 
 
@@ -672,14 +672,12 @@ def _suite_classical(trials: int, seed: int, epsilon: float) -> VerifyResult:
     return res
 
 
-def _suite_oracle(trials: int, seed: int, max_n: int, oracle_cap: int,
-                  epsilon: float) -> VerifyResult:
+def _suite_oracle(trials: int, seed: int, max_n: int, epsilon: float) -> VerifyResult:
     res = VerifyResult("oracle")
-    cap = min(max_n, oracle_cap)
     for m in (1, 2, 3):
-        report = cross_check(_uniform_config(m, trials, seed + m, cap, epsilon,
-                                             oracle_cap))
-        res.check(f"sweep == brute on {trials} trials (m={m}, n <= {cap})",
+        report = cross_check(_uniform_config(m, trials, seed + m, max_n, epsilon,
+                                             oracle_cap=max_n))
+        res.check(f"sweep == brute on {trials} trials (m={m}, n <= {max_n})",
                   report.passed, mismatches=len(report.mismatches))
     return res
 
@@ -697,8 +695,7 @@ _SUITE_DEFAULTS = {
 
 
 def verify_suite(name: str, *, trials: int | None = None, seed: int = 0,
-                 max_n: int | None = None, oracle_cap: int = ORACLE_CAP,
-                 epsilon: float = EPSILON) -> VerifyResult:
+                 max_n: int | None = None, epsilon: float = EPSILON) -> VerifyResult:
     """Run one named verification suite at the given scale."""
     if name not in VERIFY_SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of {', '.join(VERIFY_SUITES)}")
@@ -707,6 +704,9 @@ def verify_suite(name: str, *, trials: int | None = None, seed: int = 0,
     max_n = d_max_n if max_n is None else max_n
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    # No engine raises on a NaN tolerance: the suite would pass silently.
+    if not 0 <= epsilon <= sys.float_info.max:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if name == "one_d":
         return _suite_one_d(trials, seed, max_n, epsilon)
     if name == "planar":
@@ -717,7 +717,7 @@ def verify_suite(name: str, *, trials: int | None = None, seed: int = 0,
         return _suite_lemmas(trials, seed, max_n, epsilon)
     if name == "classical":
         return _suite_classical(trials, seed, epsilon)
-    return _suite_oracle(trials, seed, max_n, oracle_cap, epsilon)
+    return _suite_oracle(trials, seed, max_n, epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ everywhere via ``circular=``; the defaults follow each construction's
 natural reading (linear for the single-sequence spectrum, circular for the
 generalisations, whose point sets contain 0).
 
-Both numeric modes share one array path.  Floating inputs give float64
-points in [0, 1).  Exact inputs (ints and Fractions) are put on the integer
+Both numeric modes share one array path; ``gap_spectrum`` reads its points
+from ``numerics.kronecker_points``.  Floating inputs give float64 points in
+[0, 1).  Exact inputs (ints and Fractions) are put on the integer
 lattice Z/L, L the common denominator, with the same int64-or-object rule
 as the Kronecker instance; points, gaps and distinct gaps are exact
 integers there and come back as Fractions over L.  Stable sorting keeps
@@ -32,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import (EPSILON, Real, clusters, coerce_components, frac_array,
-                       lattice)
+                       kronecker_points, lattice)
 
 __all__ = ["GapSpectrum", "gap_spectrum", "chung_graham_gaps", "geelen_simpson_gaps"]
 
@@ -99,14 +100,8 @@ def gap_spectrum(alpha: Real, n: int, *, epsilon: float = EPSILON,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    (a,), exact = coerce_components([alpha])
-    labels = list(range(1, n + 1))
-    if exact:
-        L, (p,), dtype = lattice([a])
-        points = np.array([k * p % L for k in labels], dtype=dtype)
-        return _assemble(points, labels, epsilon, circular, L)
-    points = frac_array(np.arange(1, n + 1, dtype=float) * a)
-    return _assemble(points, labels, epsilon, circular, 1.0)
+    points, unit = kronecker_points(*coerce_components([alpha]), n)
+    return _assemble(points[:, 0], list(range(1, n + 1)), epsilon, circular, unit)
 
 
 def chung_graham_gaps(alpha: Real, lambdas: list, n_list: list[int], *,

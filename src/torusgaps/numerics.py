@@ -10,6 +10,12 @@ Every quantity in this package lives in one of two numeric modes:
   the lattice Z/L, L the common denominator, so exact arithmetic runs on
   integer arrays instead of Fractions.
 
+The Kronecker point set is built in one place: ``kronecker_points`` writes
+out the points of k = 1..n, and ``kronecker_instance``, the one constructor
+of an ``Instance``, adds each difference's key and length, all as arrays.
+The survivor engines, the denominator table, the gap spectrum and the SVG
+rendering read these instead of repeating the formula.
+
 ``clusters`` is the package's only grouping rule for values that compare
 equal at the working tolerance: survivor length groups, distinct gaps and
 distinct denominator lengths all go through it.
@@ -71,19 +77,22 @@ _INT64_LATTICE = 2 ** 62
 class Instance:
     """The points ({k a_1}, ..., {k a_m}), k = 1..n, as an (n, m) array
     ``points``, with the comparison key and display length of each
-    difference q = 1..len(keys) (``keys[q - 1]``).
+    difference q = 1..n (``keys[q - 1]``, ``lengths[q - 1]``), all held as
+    arrays.  ``kronecker_instance`` is its one constructor.
 
-    Floating mode: points are float64 in [0, 1), ``unit`` is 1.0 and each
-    key is the float length sqrt(sum_r ||q a_r||^2).
+    Floating mode: points are float64 in [0, 1), ``unit`` is 1.0 and
+    ``keys`` is the float64 ``lengths`` array itself, each entry the length
+    sqrt(sum_r ||q a_r||^2).
 
     Exact mode: with L the lcm of the denominators and a_r = p_r / L,
     points are the residues k p_r mod L in [0, L) (int64 when L < 2**62,
-    else an object array of Python ints), ``unit`` is L, and each key is
-    the exact integer sum_r min(x, L - x)^2 = L^2 l(q)^2."""
+    else an object array of Python ints), ``unit`` is L, each key is the
+    exact integer sum_r min(x, L - x)^2 = L^2 l(q)^2 in an object array,
+    and ``lengths`` is float64."""
 
     points: np.ndarray
-    keys: list
-    lengths: list[float]
+    keys: np.ndarray
+    lengths: np.ndarray
     unit: float | int
 
     @property
@@ -100,20 +109,34 @@ def lattice(comps: list[Fraction]) -> tuple[int, list[int], type]:
     return L, steps, np.int64 if L < _INT64_LATTICE else object
 
 
-def kronecker_instance(comps: list[Real], exact: bool, n: int) -> Instance:
-    """The Kronecker instance of k = 1..n for coerced components."""
+def kronecker_points(comps: list[Real], exact: bool,
+                     n: int) -> tuple[np.ndarray, float | int]:
+    """(points, unit): the (n, m) Kronecker points of k = 1..n for coerced
+    components, floats in [0, 1) with unit 1.0, or lattice residues
+    k p_r mod L with unit L."""
+    k = np.arange(1, n + 1)[:, None]
     if not exact:
-        a = np.asarray(comps, dtype=float)
-        P = frac_array(np.arange(1, n + 1, dtype=float)[:, None] * a[None, :])
-        norms = np.minimum(P, 1.0 - P)
-        lengths = np.sqrt((norms * norms).sum(axis=1)).tolist()
-        return Instance(P, lengths, lengths, 1.0)
+        return frac_array(k * np.asarray(comps, dtype=float)[None, :]), 1.0
     L, steps, dtype = lattice(comps)
-    rows = [[k * p % L for p in steps] for k in range(1, n + 1)]
-    keys = [sum(min(x, L - x) ** 2 for x in row) for row in rows]
-    sq_unit = L * L
-    points = np.array(rows, dtype=dtype)
-    return Instance(points, keys, [math.sqrt(k / sq_unit) for k in keys], L)
+    # Products k p_r below 2**63 stay in int64; wider ones take Python ints.
+    wide = np.int64 if (n + 1) * L < 2 ** 63 else object
+    points = k.astype(wide) * np.array(steps, dtype=wide)[None, :] % L
+    return points.astype(dtype, copy=False), L
+
+
+def kronecker_instance(alphas: Sequence[Real], n: int) -> Instance:
+    """The Kronecker instance of k = 1..n: the one place a point set, its
+    keys and its lengths are built."""
+    comps, exact = coerce_components(alphas)
+    P, unit = kronecker_points(comps, exact, n)
+    if not exact:
+        norms = np.minimum(P, 1.0 - P)
+        lengths = np.sqrt((norms * norms).sum(axis=1))
+        return Instance(P, lengths, lengths, 1.0)
+    d = np.minimum(P, unit - P).astype(object)
+    keys = (d * d).sum(axis=1)
+    lengths = np.sqrt((keys / (unit * unit)).astype(float))
+    return Instance(P, keys, lengths, unit)
 
 
 def ceil_sqrt(n: int) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import coerce_components, frac_array
+from .numerics import coerce_components, kronecker_points
 from .tournament import SurvivorReport
 
 _PALETTE = [
@@ -38,9 +38,7 @@ def render_survivors_svg(alphas, n: int, report: SurvivorReport, path: str,
     comps, _ = coerce_components(alphas)
     if len(comps) != 2:
         raise ValueError("SVG rendering is defined for m = 2 only")
-    floats = [float(c) for c in comps]
-    P = frac_array(np.arange(1, n + 1, dtype=float)[:, None]
-                   * np.asarray(floats)[None, :])
+    P, _ = kronecker_points([float(c) for c in comps], False, n)
 
     def cluster_color(length: float) -> str:
         best = min(range(len(report.distinct_lengths)),

@@ -45,13 +45,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (EPSILON, Instance, ceil_sqrt, clusters,
-                       coerce_components, kronecker_instance)
+from .numerics import EPSILON, Instance, ceil_sqrt, clusters, kronecker_instance
 
 __all__ = [
     "SurvivorReport",
     "survivor_bound",
-    "survivor_bound_alt",
     "survivors_brute",
     "survivors_sweep",
 ]
@@ -69,7 +67,8 @@ def survivor_bound(m: int) -> int:
 
     3 on the circle and 11 on the 2-torus; for m >= 3 the general counting
     argument gives ceil(sqrt(m))^m * (ceil(sqrt(2m))^m + 2^m + 1) + 2,
-    which evaluates to 290 at m = 3.
+    which evaluates to 290 at m = 3.  The variant with ceil(sqrt(m)) in
+    place of ceil(sqrt(2m)) inside the parenthesis gives 138 at m = 3.
     """
     if m < 1:
         raise ValueError("dimension must be >= 1")
@@ -78,19 +77,6 @@ def survivor_bound(m: int) -> int:
     if m == 2:
         return 11
     return ceil_sqrt(m) ** m * (ceil_sqrt(2 * m) ** m + 2 ** m + 1) + 2
-
-
-def survivor_bound_alt(m: int) -> int:
-    """Variant of the general formula with ceil(sqrt(m)) in place of
-    ceil(sqrt(2m)) inside the parenthesis.
-
-    Evaluates to 138 at m = 3 instead of 290.  Reported alongside
-    ``survivor_bound`` for comparison; never used for enforcement.
-    """
-    if m < 1:
-        raise ValueError("dimension must be >= 1")
-    c = ceil_sqrt(m) ** m
-    return c * (c + 2 ** m + 1) + 2
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +216,7 @@ def _judging(inst: Instance, epsilon: float):
     P = inst.points
     n = P.shape[0]
     tol, shrink = (0, 0) if inst.exact else (epsilon, epsilon / 2)
-    return P, n, inst.unit, shrink, clusters(inst.keys[: n - 1], tol)
+    return P, n, inst.unit, shrink, clusters(inst.keys[: n - 1].tolist(), tol)
 
 
 def _sweep(inst: Instance, epsilon: float) -> SurvivorReport:
@@ -251,7 +237,7 @@ def _sweep(inst: Instance, epsilon: float) -> SurvivorReport:
                 defeated |= cov.query(c2s, c2e)
                 pending[r].append((np.concatenate([c1s, c2s]),
                                    np.concatenate([c1e, c2e])))
-            ln = inst.lengths[qi]
+            ln = float(inst.lengths[qi])
             for idx in np.flatnonzero(~defeated):
                 alive.append((gid, ln, int(idx) + 1, int(idx) + 1 + q))
         for r in range(m):
@@ -317,7 +303,7 @@ def _brute(inst: Instance, epsilon: float) -> SurvivorReport:
             # meet the next chunk.
             c0 = c1
             rows = rows[~dead & (prefix[rows] > c0)]
-    alive = [(int(gid[e]), inst.lengths[qi[e]], int(j[e]) + 1, int(k[e]) + 1)
+    alive = [(int(gid[e]), float(inst.lengths[qi[e]]), int(j[e]) + 1, int(k[e]) + 1)
              for e in np.flatnonzero(~defeated)]
     return _assemble_report(alive, total, "brute", inst.exact)
 
@@ -328,10 +314,9 @@ def _brute(inst: Instance, epsilon: float) -> SurvivorReport:
 
 def survivors_sweep(alphas, n: int, *, epsilon: float = EPSILON) -> SurvivorReport:
     """Undefeated-edge length set via the grouped coverage sweep."""
-    comps, exact = coerce_components(alphas)
     if n < 2:
         raise ValueError("n must be >= 2")
-    return _sweep(kronecker_instance(comps, exact, n), epsilon)
+    return _sweep(kronecker_instance(alphas, n), epsilon)
 
 
 def survivors_brute(alphas, n: int, *, epsilon: float = EPSILON,
@@ -344,9 +329,8 @@ def survivors_brute(alphas, n: int, *, epsilon: float = EPSILON,
     shorter edges.  The work still grows with the square of the edge count
     for the survivors, so n is capped (default ``ORACLE_CAP``); raise the cap
     explicitly when you really want a bigger oracle run."""
-    comps, exact = coerce_components(alphas)
     if n < 2:
         raise ValueError("n must be >= 2")
     if n > oracle_cap:
         raise ValueError(f"n={n} exceeds the oracle cap {oracle_cap}")
-    return _brute(kronecker_instance(comps, exact, n), epsilon)
+    return _brute(kronecker_instance(alphas, n), epsilon)

@@ -1,0 +1,165 @@
+"""Slow reference readings that the tests compare the package against.
+
+Each reads a definition literally, one scalar at a time, with the package's
+scalar circle arithmetic (``torusgaps.circle``): half-open geodesic arcs on
+the circle (``Arc``, ``ArcKind``, ``geodesic``), the defeat relation over
+every pair of edges (``reference_survivors``) and the approximation
+profile's definitions (``exhaustive_profile``).  None of it is used by the
+package itself.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+from fractions import Fraction
+
+from torusgaps.circle import _check_finite, circle_norm, fractional_part, signed_deviation
+from torusgaps.numerics import Real
+
+
+class ArcKind(Enum):
+    EMPTY = "empty"
+    PLAIN = "plain"
+    WRAPPED = "wrapped"
+
+
+@dataclass(frozen=True)
+class Arc:
+    """A half-open arc of the circle.
+
+    * ``PLAIN``:   the set [lo, hi), with 0 <= lo < hi <= 1
+    * ``WRAPPED``: the set [0, lo) u [hi, 1), an arc passing through 0
+    * ``EMPTY``:   the empty set
+
+    Constructed as a geodesic, a plain arc has measure <= 1/2 and a wrapped
+    arc measure < 1/2; the constructors themselves accept any valid bounds.
+    """
+
+    kind: ArcKind
+    lo: Real = 0
+    hi: Real = 0
+
+    @staticmethod
+    def empty() -> "Arc":
+        return Arc(ArcKind.EMPTY)
+
+    @staticmethod
+    def plain(lo: Real, hi: Real) -> "Arc":
+        if not (0 <= lo <= hi <= 1):
+            raise ValueError(f"invalid plain arc bounds [{lo}, {hi})")
+        if lo == hi:
+            return Arc(ArcKind.EMPTY)
+        return Arc(ArcKind.PLAIN, lo, hi)
+
+    @staticmethod
+    def wrapped(lo: Real, hi: Real) -> "Arc":
+        if not (0 <= lo <= hi <= 1):
+            raise ValueError(f"invalid wrapped arc bounds [0,{lo}) u [{hi},1)")
+        if lo == 0 and hi == 1:
+            return Arc(ArcKind.EMPTY)
+        return Arc(ArcKind.WRAPPED, lo, hi)
+
+    def parts(self) -> tuple[tuple[Real, Real], ...]:
+        """Nonempty half-open component intervals of [0, 1)."""
+        if self.kind is ArcKind.EMPTY:
+            return ()
+        if self.kind is ArcKind.PLAIN:
+            return ((self.lo, self.hi),)
+        out = []
+        if self.lo > 0:
+            out.append((0, self.lo))
+        if self.hi < 1:
+            out.append((self.hi, 1))
+        return tuple(out)
+
+    def measure(self) -> Real:
+        return sum((e - s for s, e in self.parts()), 0)
+
+    def contains(self, x: Real) -> bool:
+        return any(s <= x < e for s, e in self.parts())
+
+    def overlaps(self, other: "Arc") -> bool:
+        """Do the point sets intersect?  Arcs sharing only a closed endpoint
+        do not overlap (half-open semantics)."""
+        for s1, e1 in self.parts():
+            for s2, e2 in other.parts():
+                if max(s1, s2) < min(e1, e2):
+                    return True
+        return False
+
+
+def geodesic(p: Real, q: Real) -> Arc:
+    """The shorter half-open arc joining circle points p and q.
+
+    With m = min(p, q) and M = max(p, q): the arc is [m, M) when
+    M - m <= 1/2, and [0, m) u [M, 1) otherwise.  Antipodal pairs
+    (M - m exactly 1/2) take the plain branch.  Coincident points give
+    the empty arc.
+    """
+    for v in (p, q):
+        _check_finite(v)
+        if not (0 <= v < 1):
+            raise ValueError(f"geodesic endpoint {v!r} is not a circle point in [0, 1)")
+    if p == q:
+        return Arc.empty()
+    m, M = (p, q) if p < q else (q, p)
+    if M - m <= 0.5:
+        return Arc.plain(m, M)
+    return Arc.wrapped(m, M)
+
+
+def reference_survivors(alphas, n):
+    """The defeat relation read literally on Fractions, with ``geodesic``
+    arcs: an edge survives iff no edge of strictly smaller squared length
+    overlaps it on some axis."""
+    pts = [[fractional_part(k * a) for a in alphas] for k in range(1, n + 1)]
+    sq = {q: sum(circle_norm(q * a) ** 2 for a in alphas) for q in range(1, n)}
+    edges = [(j, k) for j in range(1, n) for k in range(j + 1, n + 1)]
+    arcs = {(j, k): [geodesic(pj, pk) for pj, pk in zip(pts[j - 1], pts[k - 1])]
+            for j, k in edges}
+    return [e for e in edges
+            if not any(sq[o[1] - o[0]] < sq[e[1] - e[0]]
+                       and any(x.overlaps(y) for x, y in zip(arcs[e], arcs[o]))
+                       for o in edges)]
+
+
+def exhaustive_profile(alphas, n, eps=1e-9):
+    """Independent oracle: the profile's definitions read straight off
+    per-q scalar circle arithmetic (signs by ``signed_deviation`` with the
+    same epsilon guards).  Floating lengths come from ``circle_norm`` and
+    compare within eps; exact inputs (all Fractions) compare the squared
+    ``circle_norm`` Fractions at tolerance 0."""
+    exact = all(isinstance(a, Fraction) for a in alphas)
+    eps = 0 if exact else eps
+    key = {}
+    for q in range(1, n + 1):
+        sq = sum(circle_norm(q * a) ** 2 for a in alphas)
+        key[q] = sq if exact else math.sqrt(sq)
+    sign = {q: "".join("+" if -eps <= d < 0.5 - eps else "-"
+                       for d in (signed_deviation(q * a) for a in alphas))
+            for q in range(1, n + 1)}
+
+    def smallest_minimizer(qs):
+        best = min(key[q] for q in qs)
+        return min(q for q in qs if key[q] <= best + eps)
+
+    def flip(s):
+        return s.translate(str.maketrans("+-", "-+"))
+
+    q1 = smallest_minimizer(range(1, n // 2 + 1))
+    primary = [q for q in range(n // 2 + 1, n + 1) if key[q] < key[q1] - eps]
+    pool = [q for q in range(1, n - q1 + 1) if sign[q] != sign[q1]]
+    strict_pool = [q for q in range(1, n - q1 + 1) if sign[q] == flip(sign[q1])]
+    q2 = smallest_minimizer(pool) if pool else None
+    q2_strict = smallest_minimizer(strict_pool) if strict_pool else None
+    secondary, undercut = [], None
+    if q2 is not None:
+        secondary = [q for q in range(n - q1 + 1, n + 1)
+                     if sign[q] == flip(sign[q1]) and key[q] < key[q2] - eps]
+        undercut = sum(key[q] < key[q2] - eps for q in range(1, q1))
+    length = math.sqrt(key[q1]) if exact else key[q1]
+    return {"q1": q1, "q1_length": length, "primary": primary, "q1_perp": pool,
+            "q2": q2, "q2_strict": q2_strict, "secondary": secondary,
+            "undercut": undercut, "max_key": max(key.values())}

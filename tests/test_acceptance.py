@@ -14,7 +14,7 @@ from torusgaps.experiments import (
     _trial_rng,
 )
 from torusgaps.gaps import chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
-from torusgaps.tournament import survivor_bound, survivor_bound_alt
+from torusgaps.tournament import survivor_bound
 
 SEED = 20260810
 
@@ -67,9 +67,6 @@ def test_bound_constants():
     criterion("survivor_bound(1) == 3", survivor_bound(1) == 3)
     criterion("survivor_bound(2) == 11", survivor_bound(2) == 11)
     criterion("survivor_bound(3) == 290", survivor_bound(3) == 290)
-    criterion("alternative formula variant evaluates to 138 at m=3 "
-              "(documented discrepancy vs 290)", survivor_bound_alt(3) == 138,
-              alt=survivor_bound_alt(3), main=survivor_bound(3))
 
 
 def test_lemma_suite():

@@ -6,8 +6,6 @@ import importlib
 import torusgaps
 
 PUBLIC = [
-    "Arc",
-    "ArcKind",
     "ApproximationProfile",
     "DenominatorRecord",
     "GapSpectrum",
@@ -20,13 +18,11 @@ PUBLIC = [
     "fractional_part",
     "gap_spectrum",
     "geelen_simpson_gaps",
-    "geodesic",
     "primary_count_bound",
     "relation",
     "secondary_distinct_bound",
     "signed_deviation",
     "survivor_bound",
-    "survivor_bound_alt",
     "survivors_brute",
     "survivors_sweep",
     "undercut_bound",

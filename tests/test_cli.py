@@ -229,8 +229,22 @@ def test_commands_take_only_the_flags_they_read(capsys, tmp_path):
     assert "invalid choice" in err
     for argv in (["gaps", "0.3", "3", "--seed", "1"],
                  ["verify", "planar", "--exact"],
+                 ["verify", "planar", "--oracle-cap", "5"],
                  ["sweep", str(cfg_path), "--seed", "1"]):
         assert main(argv) == 1
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.01"])
+@pytest.mark.parametrize("command", [
+    ["gaps", "0.3", "30"],
+    ["survivors", "0.31,0.47", "30"],
+    ["denominators", "0.31,0.47", "30"],
+    ["verify", "planar", "--trials", "2", "--max-n", "5"],
+], ids=lambda argv: argv[0])
+def test_epsilon_must_be_finite_and_non_negative(capsys, command, epsilon):
+    code, _, err = run_cli(capsys, *command, "--epsilon", epsilon)
+    assert code == 1
+    assert "--epsilon" in err
 
 
 def test_mixed_mode_warning(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference import exhaustive_profile
 from torusgaps.circle import circle_norm, signed_deviation
 from torusgaps.denominators import (
     PRIMARY_DISTINCT_BOUND_2D,
@@ -15,6 +16,7 @@ from torusgaps.denominators import (
     secondary_distinct_bound,
     undercut_bound,
 )
+from torusgaps.tournament import survivors_brute, survivors_sweep
 
 
 def test_classify_mixed_signs():
@@ -71,6 +73,21 @@ def test_records_match_scalar_circle_reading():
             assert rec.signs == "".join("+" if -eps <= d < 0.5 - eps else "-"
                                         for d in devs)
             assert classify(rec.q, alphas) == rec
+
+
+@pytest.mark.parametrize("alphas", [[0.31, 0.47], [Fraction(5, 17), Fraction(3, 11)]])
+def test_reported_lengths_are_python_floats(alphas):
+    # Lengths leave the instance's arrays as floats, never numpy scalars,
+    # so every repr reads the same in both modes.
+    n = 40
+    for report in (survivors_sweep(alphas, n), survivors_brute(alphas, n)):
+        values = (report.distinct_lengths + report.survivor_lengths
+                  + [ln for ln, _ in report.witnesses])
+        assert values and all(type(v) is float for v in values)
+    profile = approximation_profile(alphas, n)
+    records = profile.primary + profile.secondary + [classify(7, alphas)]
+    values = [profile.q1_length, profile.q2_length, profile.q2_strict_length]
+    assert all(type(v) is float for v in values + [r.length for r in records])
 
 
 def test_relation_enum():
@@ -189,46 +206,6 @@ def test_angle_tangent_consistency():
         if abs(dx) > 1e-9:
             assert math.tan(rec.angle) == pytest.approx(dy / dx, rel=1e-9, abs=1e-9)
         assert -math.pi < rec.angle <= math.pi
-
-
-def exhaustive_profile(alphas, n, eps=1e-9):
-    """Independent oracle: the profile's definitions read straight off
-    per-q scalar circle arithmetic (signs by ``signed_deviation`` with the
-    same epsilon guards).  Floating lengths come from ``circle_norm`` and
-    compare within eps; exact inputs (all Fractions) compare the squared
-    ``circle_norm`` Fractions at tolerance 0."""
-    exact = all(isinstance(a, Fraction) for a in alphas)
-    eps = 0 if exact else eps
-    key = {}
-    for q in range(1, n + 1):
-        sq = sum(circle_norm(q * a) ** 2 for a in alphas)
-        key[q] = sq if exact else math.sqrt(sq)
-    sign = {q: "".join("+" if -eps <= d < 0.5 - eps else "-"
-                       for d in (signed_deviation(q * a) for a in alphas))
-            for q in range(1, n + 1)}
-
-    def smallest_minimizer(qs):
-        best = min(key[q] for q in qs)
-        return min(q for q in qs if key[q] <= best + eps)
-
-    def flip(s):
-        return s.translate(str.maketrans("+-", "-+"))
-
-    q1 = smallest_minimizer(range(1, n // 2 + 1))
-    primary = [q for q in range(n // 2 + 1, n + 1) if key[q] < key[q1] - eps]
-    pool = [q for q in range(1, n - q1 + 1) if sign[q] != sign[q1]]
-    strict_pool = [q for q in range(1, n - q1 + 1) if sign[q] == flip(sign[q1])]
-    q2 = smallest_minimizer(pool) if pool else None
-    q2_strict = smallest_minimizer(strict_pool) if strict_pool else None
-    secondary, undercut = [], None
-    if q2 is not None:
-        secondary = [q for q in range(n - q1 + 1, n + 1)
-                     if sign[q] == flip(sign[q1]) and key[q] < key[q2] - eps]
-        undercut = sum(key[q] < key[q2] - eps for q in range(1, q1))
-    length = math.sqrt(key[q1]) if exact else key[q1]
-    return {"q1": q1, "q1_length": length, "primary": primary, "q1_perp": pool,
-            "q2": q2, "q2_strict": q2_strict, "secondary": secondary,
-            "undercut": undercut, "max_key": max(key.values())}
 
 
 def _consistency_instances():

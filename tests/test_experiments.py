@@ -48,6 +48,9 @@ def test_config_round_trip():
     ({"oracle_cap": 1}, "oracle_cap"),
     ({"seed": "x"}, "seed"),
     ({"output": {"bogus": 1}}, "output"),
+    ({"epsilon": float("nan")}, "epsilon"),
+    ({"epsilon": float("inf")}, "epsilon"),
+    ({"epsilon": 10 ** 400}, "epsilon"),
 ])
 def test_config_rejects_bad_values(mutation, expected_key):
     with pytest.raises(ConfigError) as err:
@@ -260,6 +263,10 @@ def test_verify_suite_rejects_unknown_name():
                  id="classical-trials"),
     pytest.param(lambda: dual_mode_agreement(instances=0), "instances",
                  id="dual_mode-instances"),
+    pytest.param(lambda: verify_suite("planar", trials=2, epsilon=math.nan), "epsilon",
+                 id="planar-epsilon-nan"),
+    pytest.param(lambda: verify_suite("oracle", trials=2, epsilon=-1e-3), "epsilon",
+                 id="oracle-epsilon-negative"),
 ])
 def test_verify_suite_rejects_max_n_below_two(call, name):
     # A suite over no trials would pass vacuously; it is a usage error.

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusgaps.gaps import chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
+from torusgaps.numerics import kronecker_instance
 
 
 def brute_circular_gaps(points):
@@ -41,6 +42,19 @@ def test_gap_spectrum_labels_are_the_sorting_permutation():
     spec = gap_spectrum(0.618, 5)
     expect = sorted(range(1, 6), key=lambda k: (k * 0.618) % 1.0)
     assert spec.labels == expect
+
+
+@pytest.mark.parametrize("alpha", [0.3819660112501051, Fraction(13, 31),
+                                   Fraction(5, 2 ** 70 + 1)])
+def test_gap_spectrum_points_are_the_instance_column(alpha):
+    # The spectrum sorts the one Kronecker point set the engines judge.
+    n = 40
+    inst = kronecker_instance([alpha], n)
+    column = sorted(inst.points[:, 0].tolist())
+    if inst.exact:
+        column = [Fraction(x, inst.unit) for x in column]
+    for circular in (False, True):
+        assert gap_spectrum(alpha, n, circular=circular).points == column
 
 
 def test_gap_spectrum_circular_flag():

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torusgaps.circle import circle_norm, fractional_part, geodesic
+from reference import geodesic, reference_survivors
+from torusgaps.circle import circle_norm
 from torusgaps import tournament
 from torusgaps.gaps import _assemble
 from torusgaps.numerics import Instance, clusters, coerce_components, kronecker_instance
@@ -16,7 +17,6 @@ from torusgaps.tournament import (
     _judging,
     _sweep,
     survivor_bound,
-    survivor_bound_alt,
     survivors_brute,
     survivors_sweep,
 )
@@ -33,12 +33,6 @@ def test_survivor_bound_constants():
         survivor_bound(0)
 
 
-def test_survivor_bound_alt_variant():
-    assert survivor_bound_alt(3) == 138
-    with pytest.raises(ValueError):
-        survivor_bound_alt(0)
-
-
 def engines(inst, epsilon=1e-9):
     """Sweep and brute reports for an explicit instance."""
     return _sweep(inst, epsilon), _brute(inst, epsilon)
@@ -48,22 +42,8 @@ def float_instance(columns, keys):
     """An instance with arbitrary points (one list per axis) and arbitrary
     keys for q = 1..n-1, to place arcs and lengths independently."""
     points = np.array(columns, dtype=float).T
-    return Instance(points, list(keys), list(keys), 1.0)
-
-
-def reference_survivors(alphas, n):
-    """The defeat relation read literally on Fractions, with ``geodesic``
-    arcs: an edge survives iff no edge of strictly smaller squared length
-    overlaps it on some axis."""
-    pts = [[fractional_part(k * a) for a in alphas] for k in range(1, n + 1)]
-    sq = {q: sum(circle_norm(q * a) ** 2 for a in alphas) for q in range(1, n)}
-    edges = [(j, k) for j in range(1, n) for k in range(j + 1, n + 1)]
-    arcs = {(j, k): [geodesic(pj, pk) for pj, pk in zip(pts[j - 1], pts[k - 1])]
-            for j, k in edges}
-    return [e for e in edges
-            if not any(sq[o[1] - o[0]] < sq[e[1] - e[0]]
-                       and any(x.overlaps(y) for x, y in zip(arcs[e], arcs[o]))
-                       for o in edges)]
+    keys = np.array(keys, dtype=float)
+    return Instance(points, keys, keys, 1.0)
 
 
 def test_three_point_instance_keeps_wrapping_long_edge():
@@ -102,8 +82,8 @@ def test_build_edges_zero_length_edge():
     # length 0 and an empty arc; it survives, and the two half-circle edges
     # too.
     for alpha, exact in ((0.5, False), (Fraction(1, 2), True)):
-        inst = kronecker_instance([alpha], exact, 3)
-        assert inst.lengths[:2] == [0.5, 0.0]
+        inst = kronecker_instance([alpha], 3)
+        assert inst.lengths[:2].tolist() == [0.5, 0.0]
         unit, shrink = inst.unit, (0 if exact else 1e-9 / 2)
         parts = _axis_components(inst.points[0:1, 0], inst.points[2:3, 0], unit, shrink)
         assert [int(c[0]) if exact else float(c[0]) for c in parts] == [2 * unit] * 4
@@ -145,7 +125,7 @@ def test_build_edges_lengths_by_difference():
     # a function of q = k - j alone.
     expect = {1: 0.3, 2: 0.4, 3: 0.1}
     for alpha, exact in ((0.3, False), (Fraction(3, 10), True)):
-        inst = kronecker_instance([alpha], exact, 4)
+        inst = kronecker_instance([alpha], 4)
         assert inst.lengths[:3] == pytest.approx([0.3, 0.4, 0.1], abs=1e-12)
         for q in expect:
             assert inst.lengths[q - 1] == pytest.approx(circle_norm(q * 0.3), abs=1e-12)
@@ -193,8 +173,8 @@ def test_edge_order_does_not_change_the_outcome():
     # the same arcs and length, so the engines meet each group's edges in
     # the opposite order; the outcome must map the same way.
     n = 12
-    for alphas, exact in (([0.31, 0.47], False), ([Fraction(5, 17), Fraction(3, 11)], True)):
-        inst = kronecker_instance(alphas, exact, n)
+    for alphas in ([0.31, 0.47], [Fraction(5, 17), Fraction(3, 11)]):
+        inst = kronecker_instance(alphas, n)
         flipped = Instance(inst.points[::-1].copy(), inst.keys, inst.lengths, inst.unit)
         base = survivors_sweep(alphas, n).survivors
         mirrored = sorted((n + 1 - k, n + 1 - j) for j, k in base)
@@ -304,7 +284,7 @@ LATTICE_CASES = {
 def test_exact_lattice_engines_agree_with_reference(case):
     alphas, dtype = LATTICE_CASES[case]
     n = 12
-    inst = kronecker_instance([Fraction(a) for a in alphas], True, n)
+    inst = kronecker_instance([Fraction(a) for a in alphas], n)
     assert inst.exact and inst.points.dtype == dtype
     assert ((inst.points >= 0) & (inst.points < inst.unit)).all()
     swept = survivors_sweep(alphas, n)
@@ -342,6 +322,26 @@ def test_lattice_arcs_match_geodesic(L):
         assert sorted(got) == sorted(want)
 
 
+def test_instance_holds_arrays():
+    # Floating keys are the float64 lengths array itself; exact keys are
+    # Python ints in an object array, exact past 2**63 on int64 points
+    # (L = 2**40 + 15) and on object points (L > 2**62), with float64
+    # lengths.
+    inst = kronecker_instance([0.31, 0.47], 30)
+    assert inst.keys is inst.lengths and inst.lengths.dtype == np.float64
+    for alphas, points in (([Fraction(5, 2 ** 40 + 15), Fraction(1, 3)], np.int64),
+                           ([Fraction(12345678901234567891, 2 ** 64 + 13)], object)):
+        inst = kronecker_instance(alphas, 30)
+        assert inst.points.dtype == points
+        assert inst.keys.dtype == object and inst.lengths.dtype == np.float64
+        assert all(type(k) is int for k in inst.keys)
+        assert max(inst.keys) > 2 ** 63
+        L = inst.unit
+        for q in (1, 7, 30):
+            want = sum(min(q * a % 1 * L, L - q * a % 1 * L) ** 2 for a in alphas)
+            assert inst.keys[q - 1] == want
+
+
 def test_exact_keys_group_in_exact_order():
     # Lattice keys reach m (L/2)^2, past 2**63 once L > 2**32; as one numpy
     # array, keys on both sides of 2**63 would become float64 and tie.
@@ -357,7 +357,7 @@ def test_clusters_chain_by_single_linkage():
     assert clusters(keys, eps) == [[0, 1, 2]]
     # Edge grouping: edges of three such lengths form one tie group.
     points = np.array([[0.0], [0.1], [0.2], [0.3]])
-    inst = Instance(points, keys, keys, 1.0)
+    inst = Instance(points, np.array(keys), np.array(keys), 1.0)
     assert _judging(inst, eps)[-1] == [[0, 1, 2]]
     # Distinct gaps: circular gaps 0, 0.6 eps, 1.2 eps and 1 - 1.8 eps.  The
     # chain is one cluster at 0 and is dropped as zero; only 1 - 1.8 eps
@@ -393,8 +393,9 @@ def test_tiled_brute_tie_groups_straddle_row_blocks():
     # three tie groups (180, 200 and 400 edges), and row blocks start inside
     # groups, where some rows have an empty prefix and others do not.
     n = 40
-    inst = kronecker_instance([Fraction(1, 4), Fraction(1, 2)], True, n)
-    sizes = [sum(n - 1 - qi for qi in g) for g in clusters(inst.keys[: n - 1], 0)]
+    inst = kronecker_instance([Fraction(1, 4), Fraction(1, 2)], n)
+    sizes = [sum(n - 1 - qi for qi in g)
+             for g in clusters(inst.keys[: n - 1].tolist(), 0)]
     bounds = np.cumsum([0] + sizes)
     assert len(sizes) == 3
     assert any(lo < b < hi for lo, hi in zip(bounds, bounds[1:])
