@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -30,7 +29,7 @@ from .experiments import (
     verify_suite,
 )
 from .gaps import gap_spectrum
-from .numerics import EPSILON, Real, kronecker_instance
+from .numerics import EPSILON, Real, kronecker_instance, valid_epsilon
 from .svgplot import render_survivors_svg
 from .tournament import (ORACLE_CAP, survivor_bound, survivors_brute,
                          survivors_sweep)
@@ -377,7 +376,7 @@ def _add_format(p, choices=("table", "csv", "json")) -> None:
 def parse_epsilon(text: str) -> float:
     """A tolerance: a finite real >= 0."""
     value = float(text)
-    if not (math.isfinite(value) and value >= 0):
+    if not valid_epsilon(value):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
 

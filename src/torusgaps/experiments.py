@@ -27,7 +27,6 @@ import csv
 import itertools
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -38,7 +37,7 @@ import numpy as np
 from .denominators import (approximation_profile, primary_count_bound,
                            profile_checks, undercut_bound)
 from .gaps import chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
-from .numerics import EPSILON, Real
+from .numerics import EPSILON, Real, valid_epsilon
 from .tournament import (ORACLE_CAP, survivor_bound, survivors_brute,
                          survivors_sweep)
 
@@ -220,8 +219,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             or not all(isinstance(n, int) and n >= 2 for n in n_values)):
         offending.append("n_values")
     epsilon = d.get("epsilon", EPSILON)
-    # NaN, inf and ints too large for a float all fail the comparison.
-    if not isinstance(epsilon, (int, float)) or not 0 <= epsilon <= sys.float_info.max:
+    if not isinstance(epsilon, (int, float)) or not valid_epsilon(epsilon):
         offending.append("epsilon")
     oracle_cap = d.get("oracle_cap", ORACLE_CAP)
     if not isinstance(oracle_cap, int) or oracle_cap < 2:
@@ -705,7 +703,7 @@ def verify_suite(name: str, *, trials: int | None = None, seed: int = 0,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     # No engine raises on a NaN tolerance: the suite would pass silently.
-    if not 0 <= epsilon <= sys.float_info.max:
+    if not valid_epsilon(epsilon):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if name == "one_d":
         return _suite_one_d(trials, seed, max_n, epsilon)

@@ -24,6 +24,7 @@ distinct denominator lengths all go through it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -118,9 +119,7 @@ def kronecker_points(comps: list[Real], exact: bool,
     if not exact:
         return frac_array(k * np.asarray(comps, dtype=float)[None, :]), 1.0
     L, steps, dtype = lattice(comps)
-    # Products k p_r below 2**63 stay in int64; wider ones take Python ints.
-    wide = np.int64 if (n + 1) * L < 2 ** 63 else object
-    points = k.astype(wide) * np.array(steps, dtype=wide)[None, :] % L
+    points = k.astype(object) * np.array(steps, dtype=object)[None, :] % L
     return points.astype(dtype, copy=False), L
 
 
@@ -137,6 +136,13 @@ def kronecker_instance(alphas: Sequence[Real], n: int) -> Instance:
     keys = (d * d).sum(axis=1)
     lengths = np.sqrt((keys / (unit * unit)).astype(float))
     return Instance(P, keys, lengths, unit)
+
+
+def valid_epsilon(x) -> bool:
+    """A tolerance is a finite real >= 0.  Written as one chained
+    comparison so NaN, inf and ints too large for a float all fail it
+    without an OverflowError."""
+    return 0 <= x <= sys.float_info.max
 
 
 def ceil_sqrt(n: int) -> int:
