@@ -137,11 +137,17 @@ def _num_to_json(v: Real):
     return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
 
 
+def _is_number(v, kinds=(int, float)) -> bool:
+    """v is a JSON number of one of ``kinds``.  JSON true and false load as
+    bool, which is an int subclass, but they are not numbers."""
+    return isinstance(v, kinds) and not isinstance(v, bool)
+
+
 def _parse_component(v, key: str) -> Real:
     try:
         if isinstance(v, str):
             return Fraction(v)
-        if isinstance(v, (int, float)):
+        if _is_number(v):
             return v
     except (ValueError, ZeroDivisionError):
         pass
@@ -169,13 +175,14 @@ def _parse_source(d: dict, m: int):
                           [f"alpha_source.{k}" for k in sorted(extra)])
     if kind == "uniform_random":
         trials = d.get("trials")
-        if not isinstance(trials, int) or trials < 1:
+        if not _is_number(trials, int) or trials < 1:
             raise ConfigError("uniform_random needs a positive integer 'trials'",
                               ["alpha_source.trials"])
         return UniformRandom(trials=trials)
     if kind == "quadratic_irrationals":
         catalog = d.get("catalog", list(QUADRATIC_IRRATIONALS))
-        bad = [c for c in catalog if c not in QUADRATIC_IRRATIONALS]
+        bad = not isinstance(catalog, list) or [
+            c for c in catalog if not isinstance(c, str) or c not in QUADRATIC_IRRATIONALS]
         if bad or len(catalog) < m:
             raise ConfigError(
                 f"catalog must pick at least m of {sorted(QUADRATIC_IRRATIONALS)}",
@@ -183,7 +190,7 @@ def _parse_source(d: dict, m: int):
         return QuadraticIrrationals(catalog=list(catalog))
     if kind == "rational_grid":
         md = d.get("max_denominator")
-        if not isinstance(md, int) or md < 2:
+        if not _is_number(md, int) or md < 2:
             raise ConfigError("rational_grid needs max_denominator >= 2",
                               ["alpha_source.max_denominator"])
         return RationalGrid(max_denominator=md)
@@ -212,20 +219,20 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         raise ConfigError("missing required config keys", missing)
     offending = []
     m = d["m"]
-    if not isinstance(m, int) or m < 1:
+    if not _is_number(m, int) or m < 1:
         offending.append("m")
     n_values = d["n_values"]
     if (not isinstance(n_values, list) or not n_values
-            or not all(isinstance(n, int) and n >= 2 for n in n_values)):
+            or not all(_is_number(n, int) and n >= 2 for n in n_values)):
         offending.append("n_values")
     epsilon = d.get("epsilon", EPSILON)
-    if not isinstance(epsilon, (int, float)) or not valid_epsilon(epsilon):
+    if not _is_number(epsilon) or not valid_epsilon(epsilon):
         offending.append("epsilon")
     oracle_cap = d.get("oracle_cap", ORACLE_CAP)
-    if not isinstance(oracle_cap, int) or oracle_cap < 2:
+    if not _is_number(oracle_cap, int) or oracle_cap < 2:
         offending.append("oracle_cap")
     seed = d.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_number(seed, int):
         offending.append("seed")
     out = d.get("output", {})
     if not isinstance(out, dict) or set(out) - {"summary_json", "trials_csv"}:

@@ -152,13 +152,13 @@ class _FloatCoverage:
 
     def query(self, qs: np.ndarray, qe: np.ndarray) -> np.ndarray:
         if len(self.starts) == 0:
-            return np.zeros(len(qs), dtype=bool)
+            return np.zeros(qs.shape, dtype=bool)
         i = np.searchsorted(self.starts, qs, side="right")
-        hit = np.zeros(len(qs), dtype=bool)
-        left = i > 0
-        hit[left] = self.ends[i[left] - 1] > qs[left]
-        right = i < len(self.starts)
-        hit[right] |= self.starts[i[right]] < qe[right]
+        k = len(self.starts)
+        # Out-of-range neighbours (index -1, or k clipped to k - 1) are read
+        # but masked out.
+        hit = (self.ends[i - 1] > qs) & (i > 0)
+        hit |= (self.starts[np.minimum(i, k - 1)] < qe) & (i < k)
         hit &= qs < qe  # queries that shrank to nothing never overlap
         return hit
 
@@ -184,9 +184,11 @@ def _axis_components(pj: np.ndarray, pk: np.ndarray, unit, shrink):
     """Half-open components of the geodesics between paired points on a
     circle of length ``unit``, each shrunk by ``shrink`` at both ends.
 
-    Returns (c1s, c1e, c2s, c2e) in the points' element type; components
-    that are empty (or vanish under shrinking) carry the sentinel 2*unit,
-    so they never register an overlap in vectorized comparisons."""
+    Elementwise: pj and pk have one shape, such as (cnt, m) for cnt edges
+    on all m axes at once, and so do the returned (c1s, c1e, c2s, c2e), in
+    the points' element type; components that are empty (or vanish under
+    shrinking) carry the sentinel 2*unit, so they never register an
+    overlap in vectorized comparisons."""
     # Scalars of the unit's own type keep np.where on its fast paths.
     zero, sent, top = 0 * unit, 2 * unit, unit - shrink
     if pj.dtype == object:  # two Python-int scalars would select int64
@@ -220,30 +222,35 @@ def _judging(inst: Instance, epsilon: float):
 
 
 def _sweep(inst: Instance, epsilon: float) -> SurvivorReport:
+    """Each q's arcs are built once for all axes, as (2, n - q, m) starts and
+    ends (component, edge, axis), and each axis takes one query for both
+    components.  Once every edge of q is defeated, its remaining axes go
+    unqueried; its arcs on all axes still enter the coverages with the
+    group, so later groups meet the same coverages either way."""
     P, n, unit, shrink, groups = _judging(inst, epsilon)
     m = P.shape[1]
     coverages = [_FloatCoverage(P.dtype) for _ in range(m)]
     alive: list[tuple[int, float, int, int]] = []
     for gid, group in enumerate(groups):
-        pending: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(m)]
+        pending: list[tuple[np.ndarray, np.ndarray]] = []
         for qi in group:
             q = qi + 1
             cnt = n - q
+            arcs = np.array(_axis_components(P[:cnt], P[q:], unit, shrink))
+            starts, ends = arcs[0::2], arcs[1::2]
+            pending.append((starts, ends))
             defeated = np.zeros(cnt, dtype=bool)
-            for r in range(m):
-                c1s, c1e, c2s, c2e = _axis_components(P[0:cnt, r], P[q:n, r], unit, shrink)
-                cov = coverages[r]
-                defeated |= cov.query(c1s, c1e)
-                defeated |= cov.query(c2s, c2e)
-                pending[r].append((np.concatenate([c1s, c2s]),
-                                   np.concatenate([c1e, c2e])))
+            for r, cov in enumerate(coverages):
+                if r and defeated.all():
+                    break  # settled; its arcs on every axis still go in below
+                hit = cov.query(starts[..., r], ends[..., r])
+                defeated |= hit[0] | hit[1]
             ln = float(inst.lengths[qi])
             for idx in np.flatnonzero(~defeated):
                 alive.append((gid, ln, int(idx) + 1, int(idx) + 1 + q))
-        for r in range(m):
-            s = np.concatenate([p[0] for p in pending[r]])
-            e = np.concatenate([p[1] for p in pending[r]])
-            coverages[r].insert_many(s, e)
+        for r, cov in enumerate(coverages):
+            cov.insert_many(np.concatenate([s[..., r] for s, _ in pending], axis=None),
+                            np.concatenate([e[..., r] for _, e in pending], axis=None))
     return _assemble_report(alive, n * (n - 1) // 2, "sweep", inst.exact)
 
 

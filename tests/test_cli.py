@@ -199,6 +199,24 @@ def test_sweep_malformed_config(capsys, tmp_path):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("override, key", [
+    ({"m": True}, "m"),
+    ({"epsilon": True}, "epsilon"),
+    ({"seed": False}, "seed"),
+    ({"alpha_source": {"kind": "explicit", "alphas": [[0.3, True]]}},
+     "alpha_source.alphas[0]"),
+])
+def test_sweep_rejects_boolean_values(capsys, tmp_path, override, key):
+    config = {"m": 2, "n_values": [5],
+              "alpha_source": {"kind": "uniform_random", "trials": 2}}
+    config.update(override)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", str(cfg_path))
+    assert code == 1 and "PASSED" not in out
+    assert err.startswith("torusgaps: config error:") and key in err
+
+
 def test_sweep_invalid_json(capsys, tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text("{not json")

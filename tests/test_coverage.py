@@ -121,3 +121,26 @@ def test_total_measure_matches_sorted_union(pairs, queries):
         qe = np.array([max(a, b) for a, b in queries], dtype=dtype)
         got = cov.query(qs, qe).tolist()
         assert got == [naive_overlaps(norm, s, e) for s, e in zip(qs, qe)]
+
+
+def test_two_row_query_equals_the_row_queries():
+    # The sweep queries both arc components of an axis at once, as (2, k)
+    # arrays; each row reads as its own 1-D query, from empty coverage on
+    # and with empty components [2 unit, 2 unit) among the queries.
+    rng = random.Random(1313)
+    for dtype, unit in ((np.float64, 1000), (np.int64, 1000), (object, 2 ** 70)):
+        cov = _FloatCoverage(dtype)
+        for _ in range(12):
+            k = rng.randrange(12)
+            s = [[rng.randrange(unit) for _ in range(k)] for _ in range(2)]
+            e = [[min(x + rng.randrange(-unit // 10, unit // 3), unit) for x in row]
+                 for row in s]
+            for row_s, row_e in zip(s, e):
+                for i in rng.sample(range(k), k // 4):
+                    row_s[i] = row_e[i] = 2 * unit
+            qs, qe = np.array(s, dtype=dtype), np.array(e, dtype=dtype)
+            got = cov.query(qs, qe)
+            assert got.shape == (2, k)
+            assert got.tolist() == [cov.query(qs[0], qe[0]).tolist(),
+                                    cov.query(qs[1], qe[1]).tolist()]
+            cov.insert_many(qs.ravel(), qe.ravel())

@@ -51,6 +51,17 @@ def test_config_round_trip():
     ({"epsilon": float("nan")}, "epsilon"),
     ({"epsilon": float("inf")}, "epsilon"),
     ({"epsilon": 10 ** 400}, "epsilon"),
+    # JSON true and false load as bool, an int subclass, but are not numbers.
+    ({"m": True}, "m"),
+    ({"epsilon": True}, "epsilon"),
+    ({"seed": False}, "seed"),
+    ({"n_values": [True, 5]}, "n_values"),
+    ({"alpha_source": {"kind": "uniform_random", "trials": True}},
+     "alpha_source.trials"),
+    ({"alpha_source": {"kind": "quadratic_irrationals", "catalog": 5}},
+     "alpha_source.catalog"),
+    ({"alpha_source": {"kind": "quadratic_irrationals", "catalog": [["golden"], "sqrt2"]}},
+     "alpha_source.catalog"),
 ])
 def test_config_rejects_bad_values(mutation, expected_key):
     with pytest.raises(ConfigError) as err:
@@ -81,7 +92,7 @@ def test_config_rejects_bad_sources():
             alpha_source={"kind": "explicit", "alphas": [[0.3]]}))  # m mismatch
 
 
-@pytest.mark.parametrize("component", ["1/0", "abc"])
+@pytest.mark.parametrize("component", ["1/0", "abc", True])
 def test_config_rejects_unparseable_component(component):
     with pytest.raises(ConfigError) as err:
         config_from_dict(cfg_dict(

@@ -212,6 +212,17 @@ def test_defeat_requires_only_one_overlapping_axis():
         assert report.defeated_count == 1
 
 
+def test_each_axis_judges_the_edges_the_others_leave():
+    # Points 0.0, 0.1, 0.7, 0.2 on one axis and 0.1, 0.7, 0.2, 0.3 on the
+    # other: the q=1 arcs defeat the q=2 edge (1, 3) on the first axis alone
+    # and (2, 4) on the second alone.  On an axis whose q=2 edges join
+    # coincident points, q=2 loses nothing.
+    x, y, z = [0.0, 0.1, 0.7, 0.2], [0.1, 0.7, 0.2, 0.3], [0.0, 0.5, 0.0, 0.5]
+    for columns in ([x, y], [y, x], [z, x, y]):
+        for report in engines(float_instance(columns, [0.1, 0.2, 0.3])):
+            assert report.survivors == [(1, 2), (2, 3), (3, 4)]
+
+
 def test_validation_of_engine_inputs():
     for engine in (survivors_sweep, survivors_brute):
         with pytest.raises(ValueError):
@@ -442,3 +453,39 @@ def test_brute_memory_stays_bounded():
         tracemalloc.stop()
     assert report.survivor_count + report.defeated_count == 19_900
     assert peak < 16 * 2 ** 20
+
+
+# Instances where every edge of some q is defeated before its last axis, so
+# the sweep queries no further axis for that q.  Its arcs on those axes still
+# enter the coverages, and on all but "quarter_half" they defeat edges of
+# later groups that no other axis reaches.  The rational cases and
+# "quarter_half" have tie groups of several q; "object_m3" has L > 2**62.
+SETTLED_CASES = {
+    "float_m2": ([0.4, 0.13], 13),
+    "float_m3": ([0.07, 0.92, 0.43], 15),
+    "rational_m2": ([Fraction(8, 5), Fraction(6, 7)], 16),
+    "rational_m3": ([Fraction(3, 7), Fraction(3, 11), Fraction(1, 11)], 16),
+    "object_m3": ([Fraction(1141649525607255382187, 2 ** 64 + 13), Fraction(8, 7),
+                   Fraction(6, 13)], 11),
+    "quarter_half": ([Fraction(1, 4), Fraction(1, 2)], 17),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SETTLED_CASES))
+def test_settled_q_skips_queries_not_inserts(case, monkeypatch):
+    alphas, n = SETTLED_CASES[case]
+    shapes = []
+    query = tournament._FloatCoverage.query
+
+    def counted(cov, qs, qe):
+        shapes.append(qs.shape)
+        return query(cov, qs, qe)
+
+    monkeypatch.setattr(tournament._FloatCoverage, "query", counted)
+    swept = survivors_sweep(alphas, n)
+    monkeypatch.undo()
+    # One query per queried axis of a q, both arc components at once.
+    assert all(len(shape) == 2 and shape[0] == 2 for shape in shapes)
+    assert len(shapes) < len(alphas) * (n - 1)
+    assert swept.survivors == survivors_brute(alphas, n).survivors
+    assert swept.survivors == reference_survivors(alphas, n)
