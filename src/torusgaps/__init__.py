@@ -15,15 +15,11 @@ on the m-torus:
 plus a CLI (``torusgaps``) exposing all of it.
 """
 
-from .circle import circle_norm, fractional_part, signed_deviation
 from .denominators import (
     ApproximationProfile,
     DenominatorRecord,
-    TypeRelation,
     approximation_profile,
-    classify,
     primary_count_bound,
-    relation,
     secondary_distinct_bound,
     undercut_bound,
 )
@@ -37,18 +33,12 @@ __all__ = [
     "DenominatorRecord",
     "GapSpectrum",
     "SurvivorReport",
-    "TypeRelation",
     "approximation_profile",
     "chung_graham_gaps",
-    "circle_norm",
-    "classify",
-    "fractional_part",
     "gap_spectrum",
     "geelen_simpson_gaps",
     "primary_count_bound",
-    "relation",
     "secondary_distinct_bound",
-    "signed_deviation",
     "survivor_bound",
     "survivors_brute",
     "survivors_sweep",

@@ -26,9 +26,8 @@ All of it comes from one table of rows q = 1..n, read off the same
 in exact mode).  Each champion is one masked expression over a slice of
 them - the q1_perp pool is the rows whose signs differ from q1's on any
 axis, the opposite type differs on every axis.  ``approximation_profile``
-returns every champion at once, and its ``DenominatorRecord`` entries, like
-the one ``classify`` returns, are rows of that table.  Distinct lengths are
-counted with ``numerics.clusters``.
+returns every champion at once, and its ``DenominatorRecord`` entries are
+rows of that table.  Distinct lengths are counted with ``numerics.clusters``.
 
 Floating mode applies the comparison tolerance throughout: strictly
 shorter means shorter by more than epsilon, minimizer ties within epsilon
@@ -42,21 +41,17 @@ rational inputs in lockstep with exact mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .numerics import (EPSILON, Instance, ceil_sqrt, clusters,
-                       coerce_components, kronecker_instance)
+from .numerics import EPSILON, Instance, ceil_sqrt, clusters, kronecker_instance
 
 __all__ = [
     "ApproximationProfile",
     "DenominatorRecord",
-    "TypeRelation",
     "approximation_profile",
-    "classify",
     "primary_count_bound",
     "profile_checks",
     "secondary_distinct_bound",
@@ -93,12 +88,6 @@ def secondary_distinct_bound(m: int) -> int:
     if m == 2:
         return 4
     return ceil_sqrt(m) ** m * (ceil_sqrt(2 * m) ** m + 1)
-
-
-class TypeRelation(Enum):
-    SAME = "same"
-    OPPOSITE = "opposite"
-    NEITHER = "neither"  # differs in some coordinates but not all
 
 
 @dataclass(frozen=True)
@@ -167,29 +156,6 @@ class _Table:
     def distinct(self, qs: np.ndarray) -> int:
         """Number of length clusters among the given q."""
         return len(clusters(self.keys[qs - 1].tolist(), self.tol))
-
-
-def classify(q: int, alphas, *, epsilon: float = EPSILON) -> DenominatorRecord:
-    """Deviations, sign type, length and angle of a single denominator.
-
-    Row q of the table of a is row 1 of the table of q a (the same float
-    product q * a_r, or the same rational), so one row is built, not q."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    comps, _ = coerce_components(alphas)
-    table = _Table(kronecker_instance([q * a for a in comps], 1), epsilon)
-    return replace(table.record(1), q=q)
-
-
-def relation(q1: int, q2: int, alphas, *, epsilon: float = EPSILON) -> TypeRelation:
-    """Compare the sign types of two denominators."""
-    a = classify(q1, alphas, epsilon=epsilon).signs
-    b = classify(q2, alphas, epsilon=epsilon).signs
-    if a == b:
-        return TypeRelation.SAME
-    if all(x != y for x, y in zip(a, b)):
-        return TypeRelation.OPPOSITE
-    return TypeRelation.NEITHER
 
 
 @dataclass

@@ -347,17 +347,17 @@ class TrialRecord:
 
         return ([self.trial_id, self.m, self.n]
                 + [cell(a) for a in self.alphas]
-                + [cell(v) for v in (self.survivor_count, self.distinct_count,
-                                     self.max_length, self.q1, self.q2,
-                                     self.primary_count, self.secondary_count,
-                                     self.lemma2_count)])
+                + [cell(getattr(self, name)) for name in _CSV_FIELDS])
+
+
+# The per-trial CSV columns after trial_id, m, n and alpha_1..alpha_m.
+_CSV_FIELDS = ("survivor_count", "distinct_count", "max_length", "q1", "q2",
+               "primary_count", "secondary_count", "lemma2_count")
 
 
 def csv_header(m: int) -> list[str]:
-    return (["trial_id", "m", "n"]
-            + [f"alpha_{i}" for i in range(1, m + 1)]
-            + ["survivor_count", "distinct_count", "max_length", "q1", "q2",
-               "primary_count", "secondary_count", "lemma2_count"])
+    return (["trial_id", "m", "n"] + [f"alpha_{i}" for i in range(1, m + 1)]
+            + list(_CSV_FIELDS))
 
 
 @dataclass
@@ -497,6 +497,10 @@ def write_trials_csv(summary: SweepSummary, path: str) -> None:
 
 @dataclass
 class CrossCheckReport:
+    """Disagreements between two computations that must agree, one witness
+    per disagreeing trial: sweep against brute force (``cross_check``) or
+    exact against floating mode (``dual_mode_agreement``)."""
+
     trials: int = 0
     mismatches: list[dict] = field(default_factory=list)
     errors: int = 0
@@ -571,8 +575,6 @@ class VerifyResult:
 def _uniform_config(m: int, trials: int, seed: int, max_n: int, epsilon: float,
                     oracle_cap: int = ORACLE_CAP) -> ExperimentConfig:
     """A suite's trial stream: ``trials`` uniform draws, n uniform in [2, max_n]."""
-    if max_n < 2:
-        raise ValueError(f"max_n must be >= 2, got {max_n}")
     return ExperimentConfig(m=m, alpha_source=UniformRandom(trials),
                             n_values=list(range(2, max_n + 1)), epsilon=epsilon,
                             oracle_cap=oracle_cap, seed=seed)
@@ -704,6 +706,10 @@ def verify_suite(name: str, *, trials: int | None = None, seed: int = 0,
     """Run one named verification suite at the given scale."""
     if name not in VERIFY_SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of {', '.join(VERIFY_SUITES)}")
+    # Checked before the defaults apply: classical's default max_n is the
+    # placeholder 0, as it draws its own n.
+    if max_n is not None and max_n < 2:
+        raise ValueError(f"max_n must be >= 2, got {max_n}")
     d_trials, d_max_n = _SUITE_DEFAULTS[name]
     trials = d_trials if trials is None else trials
     max_n = d_max_n if max_n is None else max_n
@@ -729,16 +735,6 @@ def verify_suite(name: str, *, trials: int | None = None, seed: int = 0,
 # Exact-vs-floating agreement
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AgreementReport:
-    instances: int = 0
-    mismatches: list[dict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
-
-
 def _profile_outcome(p) -> dict:
     """The mode-independent part of an approximation profile: every
     denominator it selects (with its sign type) and every count."""
@@ -757,7 +753,7 @@ def _profile_outcome(p) -> dict:
 
 def dual_mode_agreement(instances: int = 200, *, seed: int = 0,
                         max_denominator: int = 50, max_n: int = 40,
-                        epsilon: float = EPSILON) -> AgreementReport:
+                        epsilon: float = EPSILON) -> CrossCheckReport:
     """Rational instances run in exact mode and as floats must produce the
     same survivor edge set, the same distinct lengths, and the same
     approximation profile: q1, both q2 variants, the q1_perp pool, the
@@ -765,7 +761,7 @@ def dual_mode_agreement(instances: int = 200, *, seed: int = 0,
     and both distinct-length counts."""
     if instances < 1:
         raise ValueError(f"instances must be >= 1, got {instances}")
-    report = AgreementReport()
+    report = CrossCheckReport()
     for i in range(instances):
         rng = _trial_rng(seed, i)
         m = 1 + int(rng.integers(2))
@@ -776,14 +772,14 @@ def dual_mode_agreement(instances: int = 200, *, seed: int = 0,
             num = int(rng.integers(1, den))
             fracs.append(Fraction(num, den))
         floats = [float(f) for f in fracs]
-        report.instances += 1
+        report.trials += 1
         exact_rep = survivors_sweep(fracs, n)
         float_rep = survivors_sweep(floats, n, epsilon=epsilon)
         prof_e = _profile_outcome(approximation_profile(fracs, n))
         prof_f = _profile_outcome(approximation_profile(floats, n, epsilon=epsilon))
         if not (_reports_agree(exact_rep, float_rep, 1e-9) and prof_e == prof_f):
             report.mismatches.append({
-                "instance": i,
+                "trial_id": i,
                 "alphas": [_num_to_json(f) for f in fracs],
                 "n": n,
                 "exact_survivors": exact_rep.survivors,

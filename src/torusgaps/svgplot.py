@@ -17,6 +17,7 @@ _PALETTE = [
     "#e377c2", "#17becf", "#bcbd22", "#7f7f7f", "#aec7e8", "#98df8a",
 ]
 
+_SIZE = 640  # width and height in px
 _POINT_RADIUS = 0.006
 _STROKE = 0.004
 
@@ -32,8 +33,7 @@ def _line(x1, y1, x2, y2, color) -> str:
             f'stroke="{color}" stroke-width="{_STROKE}" />')
 
 
-def render_survivors_svg(alphas, n: int, report: SurvivorReport, path: str,
-                         *, size: int = 640) -> None:
+def render_survivors_svg(alphas, n: int, report: SurvivorReport, path: str) -> None:
     """Write an SVG of a 2-torus instance with its surviving edges."""
     comps, _ = coerce_components(alphas)
     if len(comps) != 2:
@@ -64,7 +64,7 @@ def render_survivors_svg(alphas, n: int, report: SurvivorReport, path: str,
         for x, y in P
     ]
     body = "\n".join([
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
         'viewBox="-0.04 -0.04 1.08 1.08">',
         '<defs><clipPath id="unitsq"><rect x="0" y="0" width="1" height="1" /></clipPath></defs>',
         '<rect x="0" y="0" width="1" height="1" fill="#ffffff" stroke="#333333" '

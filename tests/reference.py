@@ -1,11 +1,13 @@
 """Slow reference readings that the tests compare the package against.
 
-Each reads a definition literally, one scalar at a time, with the package's
-scalar circle arithmetic (``torusgaps.circle``): half-open geodesic arcs on
-the circle (``Arc``, ``ArcKind``, ``geodesic``), the defeat relation over
-every pair of edges (``reference_survivors``) and the approximation
-profile's definitions (``exhaustive_profile``).  None of it is used by the
-package itself.
+Each reads a definition literally, one scalar at a time, with scalar
+arithmetic on the unit circle R/Z (``fractional_part``, ``circle_norm``,
+``signed_deviation``): half-open geodesic arcs on the circle (``Arc``,
+``ArcKind``, ``geodesic``), the defeat relation over every pair of edges
+(``reference_survivors``) and the approximation profile's definitions
+(``exhaustive_profile``).  The scalar functions work on floats and on exact
+rationals (``int``/``Fraction``) alike, exactly on the latter.  None of it
+is used by the package itself.
 """
 
 from __future__ import annotations
@@ -14,9 +16,39 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from numbers import Rational
 
-from torusgaps.circle import _check_finite, circle_norm, fractional_part, signed_deviation
 from torusgaps.numerics import Real
+
+
+def _check_finite(x: Real) -> None:
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"non-finite input: {x!r}")
+
+
+def fractional_part(x: Real) -> Real:
+    """{x} = x - floor(x), a point of [0, 1).  Exact for rational inputs.
+
+    Floating inputs just below an integer can round to the integer itself
+    (e.g. -1e-20 -> 1.0); those wrap to 0.0 so the result stays in [0, 1).
+    """
+    _check_finite(x)
+    if isinstance(x, Rational):
+        return x - math.floor(x)
+    f = x - math.floor(x)
+    return 0.0 if f >= 1.0 else f
+
+
+def circle_norm(x: Real) -> Real:
+    """Distance from x to the nearest integer: min({x}, 1 - {x}), in [0, 1/2]."""
+    f = fractional_part(x)
+    return min(f, 1 - f)
+
+
+def signed_deviation(x: Real) -> Real:
+    """{x} - 1/2, the signed offset from the circle's midpoint, in [-1/2, 1/2)."""
+    f = fractional_part(x)
+    return f - Fraction(1, 2) if isinstance(f, Rational) else f - 0.5
 
 
 class ArcKind(Enum):

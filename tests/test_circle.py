@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import Arc, ArcKind, geodesic
-from torusgaps.circle import circle_norm, fractional_part, signed_deviation
+from reference import (Arc, ArcKind, circle_norm, fractional_part, geodesic,
+                       signed_deviation)
 
 fracs = st.fractions(min_value=-20, max_value=20, max_denominator=500)
 unit_fracs = st.fractions(min_value=0, max_value=Fraction(499, 500), max_denominator=500)

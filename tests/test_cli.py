@@ -138,6 +138,12 @@ def test_denominators_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "q,dev_1,type,length,angle,role"
     assert len(lines) == 5
+    # A zero deviation counts as '+'; an integral multiple is the circle
+    # point 0: deviation -1/2, sign '-', length 0 and no angle.
+    assert lines[1:3] == ["1,0,+,0.5,,q2", "2,-0.5,-,0,,q1"]
+    code, out, _ = run_cli(capsys, "denominators", "1/2", "4", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:3] == ["1,0/1,+,0.5,,q2", "2,-1/2,-,0,,q1"]
 
 
 def test_verify_suite_small(capsys):
@@ -163,7 +169,8 @@ def test_verify_unknown_suite(capsys):
     assert "invalid choice" in err
     for argv, name in ((["planar", "--trials", "-3"], "trials"),
                        (["oracle", "--trials", "0"], "trials"),
-                       (["planar", "--max-n", "1"], "max_n")):
+                       (["planar", "--max-n", "1"], "max_n"),
+                       (["classical", "--max-n", "1"], "max_n")):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 1 and "PASS" not in out
         assert err.startswith("torusgaps: error:") and name in err

@@ -4,55 +4,56 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reference import exhaustive_profile
-from torusgaps.circle import circle_norm, signed_deviation
+from reference import circle_norm, exhaustive_profile, signed_deviation
 from torusgaps.denominators import (
     PRIMARY_DISTINCT_BOUND_2D,
-    TypeRelation,
+    _Table,
     approximation_profile,
-    classify,
     primary_count_bound,
-    relation,
     secondary_distinct_bound,
     undercut_bound,
 )
+from torusgaps.numerics import EPSILON, kronecker_instance
 from torusgaps.tournament import survivors_brute, survivors_sweep
 
 
+def table_of(alphas, n):
+    """The denominator table of rows q = 1..n that the profile reads."""
+    return _Table(kronecker_instance(alphas, n), EPSILON)
+
+
 def test_classify_mixed_signs():
-    rec = classify(1, [0.75, 0.25])
+    rec = table_of([0.75, 0.25], 1).record(1)
     assert rec.signs == "+-"
     assert rec.deviations == pytest.approx((0.25, -0.25))
 
 
 def test_classify_symmetric_pair_angle_and_length():
-    rec = classify(1, [0.75, 0.75])
+    rec = table_of([0.75, 0.75], 1).record(1)
     assert rec.angle == pytest.approx(math.pi / 4)
     assert rec.length == pytest.approx(math.sqrt(2 * 0.0625))
 
 
 def test_classify_integral_multiple():
-    rec = classify(2, [0.5])
-    assert rec.deviations == pytest.approx((-0.5,))
-    assert rec.signs == "-"
-    assert rec.length == pytest.approx(0.0)
-    assert rec.angle is None
+    # 2 a is an integer: the circle point 0, deviation -1/2, sign '-'.
+    for alpha in (0.5, Fraction(1, 2)):
+        rec = table_of([alpha], 2).record(2)
+        assert rec.deviations == (-0.5,)
+        assert rec.signs == "-"
+        assert rec.length == 0.0
+        assert rec.angle is None
 
 
 def test_classify_zero_deviation_counts_as_positive():
-    assert classify(1, [0.5]).signs == "+"
-    assert classify(1, [Fraction(1, 2)]).signs == "+"
-
-
-def test_classify_validation():
-    with pytest.raises(ValueError):
-        classify(0, [0.3])
+    assert table_of([0.5], 1).record(1).signs == "+"
+    assert table_of([Fraction(1, 2)], 1).record(1).signs == "+"
 
 
 def test_records_match_scalar_circle_reading():
-    # Each record is a row of the instance table; its deviations, signs and
-    # length equal the scalar reading by ``signed_deviation`` (bit for bit
-    # in floating mode, exactly in exact mode).
+    # Every row of the table, and so every profile record, has the
+    # deviations, signs and length of the scalar reading by
+    # ``signed_deviation`` (bit for bit in floating mode, exactly in exact
+    # mode).
     rng = np.random.default_rng(3)
     for i in range(24):
         m = 1 + i % 3
@@ -62,17 +63,21 @@ def test_records_match_scalar_circle_reading():
         else:
             alphas = rng.random(m).tolist()
         n = int(rng.integers(2, 300))
-        profile = approximation_profile(alphas, n)
-        for rec in profile.primary + profile.secondary + [classify(n, alphas)]:
-            devs = tuple(signed_deviation(rec.q * a) for a in alphas)
+        table = table_of(alphas, n)
+        eps = 0 if i % 2 else 1e-9
+        for q in range(1, n + 1):
+            rec = table.record(q)
+            devs = tuple(signed_deviation(q * a) for a in alphas)
+            assert rec.q == q
             assert rec.deviations == devs
             assert all(type(d) is type(e) for d, e in zip(rec.deviations, devs))
-            assert rec.length == math.sqrt(float(sum(circle_norm(rec.q * a) ** 2
+            assert rec.length == math.sqrt(float(sum(circle_norm(q * a) ** 2
                                                      for a in alphas)))
-            eps = 0 if i % 2 else 1e-9
             assert rec.signs == "".join("+" if -eps <= d < 0.5 - eps else "-"
                                         for d in devs)
-            assert classify(rec.q, alphas) == rec
+        profile = approximation_profile(alphas, n)
+        for rec in profile.primary + profile.secondary:
+            assert table.record(rec.q) == rec
 
 
 @pytest.mark.parametrize("alphas", [[0.31, 0.47], [Fraction(5, 17), Fraction(3, 11)]])
@@ -85,21 +90,23 @@ def test_reported_lengths_are_python_floats(alphas):
                   + [ln for ln, _ in report.witnesses])
         assert values and all(type(v) is float for v in values)
     profile = approximation_profile(alphas, n)
-    records = profile.primary + profile.secondary + [classify(7, alphas)]
+    records = profile.primary + profile.secondary + [table_of(alphas, n).record(7)]
     values = [profile.q1_length, profile.q2_length, profile.q2_strict_length]
     assert all(type(v) is float for v in values + [r.length for r in records])
 
 
-def test_relation_enum():
-    # q=1 vs q=1 trivially same type
-    assert relation(1, 1, [0.75, 0.25]) is TypeRelation.SAME
-    # (+,-) against (-,+)
-    assert classify(3, [0.75, 0.25]).signs == "-+"
-    assert relation(1, 3, [0.75, 0.25]) is TypeRelation.OPPOSITE
-    # differs in one of three coordinates only
-    assert classify(1, [0.75, 0.75, 0.25]).signs == "++-"
-    assert classify(2, [0.75, 0.75, 0.25]).signs == "+++"
-    assert relation(1, 2, [0.75, 0.75, 0.25]) is TypeRelation.NEITHER
+def test_sign_rows_same_opposite_neither():
+    # Row q's signs against row 1's, compared as the profile compares them:
+    # the type is the same where no axis differs, opposite where every axis
+    # does, and neither where some but not all do.
+    table = table_of([0.75, 0.25], 5)
+    differs = table.pos != table.pos[0]
+    assert [table.record(q).signs for q in (1, 3, 5)] == ["+-", "-+", "+-"]
+    assert differs[2].all() and not differs[4].any()
+    table = table_of([0.75, 0.75, 0.25], 2)
+    differs = table.pos != table.pos[0]
+    assert [table.record(q).signs for q in (1, 2)] == ["++-", "+++"]
+    assert differs[1].any() and not differs[1].all()
 
 
 def exhaustive_q1(alphas, n):
@@ -200,12 +207,15 @@ def test_angle_tangent_consistency():
     rng = np.random.default_rng(7)
     for _ in range(200):
         alphas = rng.random(2).tolist()
-        q = int(rng.integers(1, 50))
-        rec = classify(q, alphas)
-        dx, dy = rec.deviations
-        if abs(dx) > 1e-9:
-            assert math.tan(rec.angle) == pytest.approx(dy / dx, rel=1e-9, abs=1e-9)
-        assert -math.pi < rec.angle <= math.pi
+        n = int(rng.integers(1, 50))
+        table = table_of(alphas, n)
+        for q in range(1, n + 1):
+            rec = table.record(q)
+            dx, dy = rec.deviations
+            if abs(dx) > 1e-9:
+                assert math.tan(rec.angle) == pytest.approx(dy / dx, rel=1e-9,
+                                                            abs=1e-9)
+            assert -math.pi < rec.angle <= math.pi
 
 
 def _consistency_instances():

@@ -266,6 +266,8 @@ def test_verify_suite_rejects_unknown_name():
 @pytest.mark.parametrize("call, name", [
     pytest.param(lambda: verify_suite("planar", trials=2, max_n=1), "max_n",
                  id="planar-max_n"),
+    pytest.param(lambda: verify_suite("classical", trials=2, max_n=1), "max_n",
+                 id="classical-max_n"),
     pytest.param(lambda: verify_suite("planar", trials=-3), "trials",
                  id="planar-trials"),
     pytest.param(lambda: verify_suite("oracle", trials=0), "trials",
@@ -296,7 +298,7 @@ def test_verify_suites_pass_at_smoke_scale(suite):
 def test_dual_mode_agreement_smoke():
     report = dual_mode_agreement(instances=25, seed=5)
     assert report.passed, report.mismatches[:1]
-    assert report.instances == 25
+    assert report.trials == 25
 
 
 def test_dual_mode_agreement_compares_whole_profile(monkeypatch):

@@ -6,8 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reference import geodesic, reference_survivors
-from torusgaps.circle import circle_norm
+from reference import circle_norm, geodesic, reference_survivors
 from torusgaps import tournament
 from torusgaps.gaps import _assemble
 from torusgaps.numerics import Instance, clusters, coerce_components, kronecker_instance
