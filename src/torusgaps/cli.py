@@ -79,9 +79,9 @@ def parse_alphas(text: str, exact: bool = False) -> list[Real]:
 
 
 def fmt_real(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(_num_to_json(v))
+    """A float to 12 significant digits; an int or Fraction as str() writes
+    it, so an integer-valued Fraction reads as the integer ("0", not "0/1")."""
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
 
 
 def _jsonable(v):

@@ -14,6 +14,9 @@ Two independent engines compute S:
   each edge's per-axis arcs against the union of all strictly shorter
   arcs.  "Some shorter edge overlaps on some axis" distributes over the
   union, so one coverage structure per axis replaces all pairwise tests.
+  Every arc runs between two of the n points, so the coverage lives in
+  rank space: each axis is sorted once, an arc is a cyclic range of the n
+  cells between rank-adjacent points, and the union is a set of cells.
 * ``survivors_brute`` applies the defeat relation pairwise and serves as
   the oracle for the sweep.  It lays out all edges in (group, q, j) order,
   so an edge's possible defeaters are the prefix below its group, and
@@ -32,11 +35,13 @@ exact and every comparison literal.  The circle has length ``unit``
 Edges whose lengths agree within the tolerance (exactly, in exact mode)
 form one group and never defeat each other (the relation is strictly
 "shorter beats longer"); a group's arcs enter the coverage only after the
-whole group is judged.  In floating mode every arc part is shrunk by half
-the tolerance at both ends, on the judged side and the opponent side
-alike, so intersections of measure below the tolerance (floating-point
-artefacts on rational inputs, where exact arithmetic gives empty arcs or
-exact endpoint touches) never count as defeats.
+whole group is judged.  Intersections of measure below the tolerance
+(floating-point artefacts on rational inputs, where exact arithmetic gives
+empty arcs or exact endpoint touches) never count as defeats, read two
+ways.  The sweep counts only cells wider than the tolerance (wider than 0
+in exact mode).  The brute force reads the relation in coordinates: in
+floating mode it shrinks every arc part by half the tolerance at both
+ends, on the judged side and the opponent side alike.
 """
 
 from __future__ import annotations
@@ -139,45 +144,48 @@ def _assemble_report(alive: list[tuple[int, float, int, int]], total_edges: int,
 # Vectorized engines
 # ---------------------------------------------------------------------------
 
-class _FloatCoverage:
-    """Disjoint sorted half-open intervals with batch queries and batch
-    insert-with-merge, in the element type of the instance (float64, int64
-    or object); merging touching intervals is exact as point sets."""
+class _Cells:
+    """The coverage of one axis, held in rank space.
 
-    __slots__ = ("starts", "ends")
+    The axis's n points, sorted once, cut the circle into n cells: cell i
+    runs from the point of rank i to the point of rank i + 1, and the last
+    one wraps from the largest point round to the smallest.  A cell is
+    *positive* when its width exceeds ``tol`` (the tolerance in floating
+    mode, 0 on the lattice), so the empty cells between coincident points,
+    and the float artefacts of rational axes, never count.  Every arc the
+    sweep judges runs between two of the points, so it is a cyclic range of
+    cells: [lo, hi) when it does not wrap and [hi, n) with [0, lo) when it
+    does, lo < hi the ranks of its ends.  Two arcs overlap when they share a
+    positive cell; a touch at a single point shares none.  ``covered``
+    marks the positive cells of the arcs inserted so far and ``prefix``
+    counts them, so a query is one prefix-sum difference."""
 
-    def __init__(self, dtype) -> None:
-        self.starts = np.empty(0, dtype=dtype)
-        self.ends = np.empty(0, dtype=dtype)
+    __slots__ = ("rank", "positive", "covered", "prefix")
 
-    def query(self, qs: np.ndarray, qe: np.ndarray) -> np.ndarray:
-        if len(self.starts) == 0:
-            return np.zeros(qs.shape, dtype=bool)
-        i = np.searchsorted(self.starts, qs, side="right")
-        k = len(self.starts)
-        # Out-of-range neighbours (index -1, or k clipped to k - 1) are read
-        # but masked out.
-        hit = (self.ends[i - 1] > qs) & (i > 0)
-        hit |= (self.starts[np.minimum(i, k - 1)] < qe) & (i < k)
-        hit &= qs < qe  # queries that shrank to nothing never overlap
-        return hit
+    def __init__(self, x: np.ndarray, unit, tol) -> None:
+        n = len(x)
+        order = np.argsort(x, kind="stable")
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[order] = np.arange(n)
+        xs = x[order]
+        self.positive = np.diff(xs, append=xs[:1] + unit) > tol
+        self.covered = np.zeros(n, dtype=bool)
+        self.prefix = np.zeros(n + 1, dtype=np.int64)
 
-    def insert_many(self, s: np.ndarray, e: np.ndarray) -> None:
-        keep = s < e
-        if not keep.any():
-            return
-        s = np.concatenate([self.starts, s[keep]])
-        e = np.concatenate([self.ends, e[keep]])
-        order = np.argsort(s, kind="stable")
-        s, e = s[order], e[order]
-        reach = np.maximum.accumulate(e)
-        first = np.empty(len(s), dtype=bool)
-        first[0] = True
-        first[1:] = s[1:] > reach[:-1]
-        starts_at = np.flatnonzero(first)
-        last_of_run = np.append(starts_at[1:], len(s)) - 1
-        self.starts = s[starts_at]
-        self.ends = reach[last_of_run]
+    def query(self, lo: np.ndarray, hi: np.ndarray, wrap: np.ndarray) -> np.ndarray:
+        """Whether each arc holds a covered positive cell."""
+        inside = self.prefix[hi] - self.prefix[lo]
+        return np.where(wrap, self.prefix[-1] - inside, inside) > 0
+
+    def insert(self, lo: np.ndarray, hi: np.ndarray, wrap: np.ndarray) -> None:
+        """Cover the cells of all the arcs at once, through one difference
+        array: +1 at the start of each range and -1 at its end, where a
+        wrapped arc is every cell less [lo, hi)."""
+        n = len(self.covered)
+        sign = np.where(wrap, -1, 1)
+        depth = np.cumsum(np.bincount(lo, sign, n) - np.bincount(hi, sign, n))
+        self.covered |= (depth + np.count_nonzero(wrap) > 0) & self.positive
+        np.cumsum(self.covered, out=self.prefix[1:])
 
 
 def _axis_components(pj: np.ndarray, pk: np.ndarray, unit, shrink):
@@ -222,35 +230,36 @@ def _judging(inst: Instance, epsilon: float):
 
 
 def _sweep(inst: Instance, epsilon: float) -> SurvivorReport:
-    """Each q's arcs are built once for all axes, as (2, n - q, m) starts and
-    ends (component, edge, axis), and each axis takes one query for both
-    components.  Once every edge of q is defeated, its remaining axes go
-    unqueried; its arcs on all axes still enter the coverages with the
-    group, so later groups meet the same coverages either way."""
-    P, n, unit, shrink, groups = _judging(inst, epsilon)
-    m = P.shape[1]
-    coverages = [_FloatCoverage(P.dtype) for _ in range(m)]
+    """Each q's arcs are built once for all axes, as (m, n - q) rank ranges
+    (axis, edge), and each axis takes one query.  Once every edge of q is
+    defeated, its remaining axes go unqueried; its arcs on all axes still
+    enter the coverages with the group, so later groups meet the same
+    coverages either way."""
+    P, n, unit, _, groups = _judging(inst, epsilon)
+    X = np.ascontiguousarray(P.T)  # (axis, point)
+    axes = [_Cells(x, unit, 0 if inst.exact else epsilon) for x in X]
+    ranks = np.array([axis.rank for axis in axes])
     alive: list[tuple[int, float, int, int]] = []
     for gid, group in enumerate(groups):
-        pending: list[tuple[np.ndarray, np.ndarray]] = []
+        pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for qi in group:
             q = qi + 1
             cnt = n - q
-            arcs = np.array(_axis_components(P[:cnt], P[q:], unit, shrink))
-            starts, ends = arcs[0::2], arcs[1::2]
-            pending.append((starts, ends))
+            rj, rk = ranks[:, :cnt], ranks[:, q:]
+            # An arc wraps when it spans more than half the circle.
+            wrap = 2 * np.abs(X[:, :cnt] - X[:, q:]) > unit
+            lo, hi = np.minimum(rj, rk), np.maximum(rj, rk)
+            pending.append((lo, hi, wrap))
             defeated = np.zeros(cnt, dtype=bool)
-            for r, cov in enumerate(coverages):
+            for r, axis in enumerate(axes):
                 if r and defeated.all():
                     break  # settled; its arcs on every axis still go in below
-                hit = cov.query(starts[..., r], ends[..., r])
-                defeated |= hit[0] | hit[1]
+                defeated |= axis.query(lo[r], hi[r], wrap[r])
             ln = float(inst.lengths[qi])
             for idx in np.flatnonzero(~defeated):
                 alive.append((gid, ln, int(idx) + 1, int(idx) + 1 + q))
-        for r, cov in enumerate(coverages):
-            cov.insert_many(np.concatenate([s[..., r] for s, _ in pending], axis=None),
-                            np.concatenate([e[..., r] for _, e in pending], axis=None))
+        for r, axis in enumerate(axes):
+            axis.insert(*(np.concatenate([arc[r] for arc in part]) for part in zip(*pending)))
     return _assemble_report(alive, n * (n - 1) // 2, "sweep", inst.exact)
 
 

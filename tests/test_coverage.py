@@ -1,5 +1,6 @@
-"""The sweep's per-axis coverage: a growing union of disjoint half-open
-intervals, in each element type the engines use."""
+"""The sweep's per-axis coverage in rank space (``_Cells``): the n cells
+between an axis's sorted points, judged against a naive covered-cell model
+that works in coordinates, in each element type the engines use."""
 
 import random
 
@@ -7,140 +8,207 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from torusgaps.tournament import _FloatCoverage
+from torusgaps.tournament import _Cells
 
-DTYPES = (np.float64, np.int64)
-ends = st.integers(min_value=0, max_value=2 ** 40)  # exact in float64 too
-
-
-def naive_overlaps(intervals, s, e):
-    return any(max(s, a) < min(e, b) for a, b in intervals)
-
-
-def intervals(cov):
-    return [(int(s), int(e)) for s, e in zip(cov.starts, cov.ends)]
-
-
-def insert(cov, s, e):
-    cov.insert_many(np.array([s], dtype=cov.starts.dtype),
-                    np.array([e], dtype=cov.starts.dtype))
+# (dtype, scale, unit, tol): points are integer grid coordinates c in
+# [0, GRID) placed at c * scale on a circle of length unit.  Float mode
+# compares cell widths with the tolerance, the lattice with 0; object
+# arrays hold Python ints past int64.
+GRID = 64
+KINDS = {
+    "float": (np.float64, 1 / GRID, 1.0, 1e-9),
+    "int64": (np.int64, 1000, 1000 * GRID, 0),
+    "object": (object, 2 ** 70, 2 ** 70 * GRID, 0),
+}
 
 
-def overlaps(cov, s, e):
-    dt = cov.starts.dtype
-    return bool(cov.query(np.array([s], dtype=dt), np.array([e], dtype=dt))[0])
+def axis(coords, kind):
+    dtype, scale, unit, tol = KINDS[kind]
+    x = np.array([c * scale for c in coords], dtype=dtype)
+    return x, unit, tol, _Cells(x, unit, tol)
 
 
-def test_insert_merges_touching_and_overlapping():
-    for dtype in DTYPES:
-        cov = _FloatCoverage(dtype)
-        insert(cov, 10, 30)
-        insert(cov, 30, 50)
-        assert intervals(cov) == [(10, 50)]
-        insert(cov, 5, 20)
-        assert intervals(cov) == [(5, 50)]
-        insert(cov, 70, 80)
-        assert len(cov.starts) == 2
-        insert(cov, 40, 75)
-        assert intervals(cov) == [(5, 80)]
-        assert cov.starts.dtype == cov.ends.dtype == dtype
+def ranges(cells, x, unit, pairs):
+    """(lo, hi, wrap) of the arcs between the point pairs, as the sweep
+    builds them: the ranks of the ends, and 2 |x_j - x_k| > unit."""
+    j = np.array([a for a, _ in pairs], dtype=np.int64)
+    k = np.array([b for _, b in pairs], dtype=np.int64)
+    rj, rk = cells.rank[j], cells.rank[k]
+    wrap = 2 * np.abs(x[j] - x[k]) > unit
+    return np.minimum(rj, rk), np.maximum(rj, rk), np.asarray(wrap, dtype=bool)
 
 
-def test_empty_inserts_and_queries_are_ignored():
-    for dtype in DTYPES:
-        cov = _FloatCoverage(dtype)
-        insert(cov, 50, 50)
-        assert len(cov.starts) == 0
-        assert not overlaps(cov, 20, 20)
-        insert(cov, 20, 40)
-        assert not overlaps(cov, 30, 30)
+def naive_cells(xs, unit, tol):
+    """The positive cells (a, b) between cyclically adjacent points, the
+    last one running past unit to the smallest point."""
+    s = sorted(xs)
+    return [(a, b) for a, b in zip(s, s[1:] + [s[0] + unit]) if b - a > tol]
 
 
-def test_half_open_touch_is_not_overlap():
-    for dtype in DTYPES:
-        cov = _FloatCoverage(dtype)
-        insert(cov, 20, 40)
-        assert not overlaps(cov, 40, 60)
-        assert not overlaps(cov, 0, 20)
-        assert overlaps(cov, 39, 41)
-        assert overlaps(cov, 0, 21)
+def naive_holds(x, y, unit, cell):
+    """The geodesic arc between x and y holds the cell: a plain arc
+    [lo, hi] holds the cells inside it, a wrapped one the cells outside."""
+    lo, hi = min(x, y), max(x, y)
+    inside = lo <= cell[0] and cell[1] <= hi
+    return inside != (2 * (hi - lo) > unit)
 
 
-def test_works_with_fraction_endpoints():
-    # A fraction x / 12 enters the coverage as its lattice residue on
-    # Z/L, L = 12 s: int64 for small L, Python ints once L >= 2**62.
-    for scale, dtype in ((1, np.int64), (2 ** 70, object)):
-        cov = _FloatCoverage(dtype)
-        insert(cov, 4 * scale, 6 * scale)  # [1/3, 1/2)
-        assert overlaps(cov, 5 * scale, 7 * scale)
-        assert not overlaps(cov, 6 * scale, 8 * scale)
-        insert(cov, 6 * scale, 8 * scale)
-        assert intervals(cov) == [(4 * scale, 8 * scale)]
-        assert cov.starts.dtype == dtype
+class NaiveCoverage:
+    def __init__(self, xs, unit, tol):
+        self.xs, self.unit = xs.tolist(), unit
+        self.cells = naive_cells(self.xs, unit, tol)
+        self.covered = set()
+
+    def arc(self, j, k):
+        return {c for c in self.cells
+                if naive_holds(self.xs[j], self.xs[k], self.unit, c)}
+
+    def query(self, pairs):
+        return [bool(self.arc(j, k) & self.covered) for j, k in pairs]
+
+    def insert(self, pairs):
+        for j, k in pairs:
+            self.covered |= self.arc(j, k)
+
+
+def check_against_naive(coords, batches, kind):
+    x, unit, tol, cells = axis(coords, kind)
+    naive = NaiveCoverage(x, unit, tol)
+    assert cells.positive.sum() == len(naive.cells)
+    for batch in batches:
+        pairs = [(j % len(coords), k % len(coords)) for j, k in batch]
+        if not pairs:
+            continue
+        lo, hi, wrap = ranges(cells, x, unit, pairs)
+        assert cells.query(lo, hi, wrap).tolist() == naive.query(pairs)
+        cells.insert(lo, hi, wrap)
+        naive.insert(pairs)
+        assert cells.prefix[-1] == len(naive.covered)
+    # The covered cells measure what the union of the inserted arcs does.
+    xs = np.sort(x)
+    widths = np.diff(xs, append=xs[:1] + unit)
+    assert widths[cells.covered].sum() == sum(b - a for a, b in naive.covered)
 
 
 def test_randomized_against_naive_oracle():
-    for dtype in DTYPES:
-        rng = random.Random(4821)
-        cov = _FloatCoverage(dtype)
-        kept = []
-        for _ in range(600):
-            s = rng.randrange(0, 950)
-            e = s + rng.randrange(0, 300)
-            q1, q2 = sorted((rng.randrange(1000), rng.randrange(1000)))
-            assert overlaps(cov, q1, q2) == naive_overlaps(kept, q1, q2)
-            insert(cov, s, e)
-            if s < e:
-                kept.append((s, e))
-            assert cov.starts.dtype == cov.ends.dtype == dtype
-            starts = cov.starts.tolist()
-            assert starts == sorted(starts)
-            assert all(a < b for a, b in intervals(cov))
-            # disjoint with real gaps (touching neighbours were merged)
-            assert all(cov.ends[i] < cov.starts[i + 1] for i in range(len(starts) - 1))
+    rng = random.Random(4821)
+    for kind in KINDS:
+        for _ in range(40):
+            coords = [rng.randrange(GRID) for _ in range(rng.randrange(1, 30))]
+            batches = [[(rng.randrange(30), rng.randrange(30))
+                        for _ in range(rng.randrange(8))] for _ in range(6)]
+            check_against_naive(coords, batches, kind)
 
 
-@given(st.lists(st.tuples(ends, ends), max_size=30),
-       st.lists(st.tuples(ends, ends), max_size=10))
-def test_total_measure_matches_sorted_union(pairs, queries):
-    norm = [(min(a, b), max(a, b)) for a, b in pairs if a != b]
-    merged = []
-    for s, e in sorted(norm):
-        if merged and s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
-    for dtype in DTYPES:
-        cov = _FloatCoverage(dtype)
-        if norm:  # one batch insert of everything
-            cov.insert_many(np.array([s for s, _ in norm], dtype=dtype),
-                            np.array([e for _, e in norm], dtype=dtype))
-        assert intervals(cov) == merged
-        assert cov.starts.dtype == dtype
-        qs = np.array([min(a, b) for a, b in queries], dtype=dtype)
-        qe = np.array([max(a, b) for a, b in queries], dtype=dtype)
-        got = cov.query(qs, qe).tolist()
-        assert got == [naive_overlaps(norm, s, e) for s, e in zip(qs, qe)]
+pairs = st.tuples(st.integers(0, 39), st.integers(0, 39))
+
+
+@given(st.lists(st.integers(0, GRID - 1), min_size=1, max_size=40),
+       st.lists(st.lists(pairs, max_size=8), max_size=6),
+       st.sampled_from(sorted(KINDS)))
+def test_total_measure_matches_sorted_union(coords, batches, kind):
+    # Coordinates drawn from a small grid repeat, so coincident points and
+    # their zero-width cells are common.
+    check_against_naive(coords, batches, kind)
+
+
+def test_insert_merges_touching_and_overlapping():
+    # Points 0, 10, 20, 30, 50 on a circle of 64 grid steps: five cells.
+    for kind in KINDS:
+        x, unit, _, cells = axis([0, 10, 20, 30, 50], kind)
+        for pair in ((0, 1), (1, 2), (1, 3)):  # touching, then overlapping
+            cells.insert(*ranges(cells, x, unit, [pair]))
+        assert cells.covered.tolist() == [True, True, True, False, False]
+        assert cells.prefix.tolist() == [0, 1, 2, 3, 3, 3]
+
+
+def test_wrapped_and_plain_ranges():
+    # Points 2, 20, 30, 60 (ranks 0..3) on 64 grid steps.  The arc 60 -> 2
+    # wraps through 0 and holds only the last cell [60, 66); 20 -> 30 holds
+    # cell 1; 2 -> 30 does not wrap and holds cells 0 and 1.
+    for kind in KINDS:
+        x, unit, _, cells = axis([20, 2, 60, 30], kind)
+        assert cells.rank.tolist() == [1, 0, 3, 2]
+        lo, hi, wrap = ranges(cells, x, unit, [(2, 1), (0, 3), (1, 3)])
+        assert (lo.tolist(), hi.tolist(), wrap.tolist()) == (
+            [0, 1, 0], [3, 2, 2], [True, False, False])
+        cells.insert(lo[:1], hi[:1], wrap[:1])
+        assert cells.covered.tolist() == [False, False, False, True]
+        assert cells.query(lo, hi, wrap).tolist() == [True, False, False]
+        cells.insert(lo[1:2], hi[1:2], wrap[1:2])
+        assert cells.query(lo, hi, wrap).tolist() == [True, True, True]
+
+
+def test_half_open_touch_is_not_overlap():
+    # Arcs that share only an end point share no cell, on both sides of a
+    # plain arc and across the wrap.  Points 5, 20, 30, 45 on 64 steps.
+    for kind in KINDS:
+        x, unit, _, cells = axis([5, 20, 30, 45], kind)
+        cells.insert(*ranges(cells, x, unit, [(1, 2)]))  # [20, 30]
+        got = cells.query(*ranges(cells, x, unit, [(2, 3), (0, 1), (3, 0), (0, 2)]))
+        assert got.tolist() == [False, False, False, True]
+        cells.insert(*ranges(cells, x, unit, [(3, 0)]))  # 45 -> 5 across 0
+        got = cells.query(*ranges(cells, x, unit, [(2, 3), (0, 1), (0, 3)]))
+        assert got.tolist() == [False, False, True]
+
+
+def test_empty_inserts_and_queries_are_ignored():
+    # Coincident points bound zero-width cells: an arc between them holds
+    # no positive cell, so it neither covers nor is ever hit, even on a
+    # covered axis.
+    for kind in KINDS:
+        x, unit, _, cells = axis([7, 30, 7, 30, 7], kind)
+        assert cells.positive.sum() == 2
+        cells.insert(*ranges(cells, x, unit, [(0, 2), (1, 3), (4, 0)]))
+        assert cells.prefix[-1] == 0
+        cells.insert(*ranges(cells, x, unit, [(0, 1)]))
+        assert cells.prefix[-1] == 1
+        got = cells.query(*ranges(cells, x, unit, [(0, 2), (1, 3), (2, 4), (0, 3)]))
+        assert got.tolist() == [False, False, False, True]
+
+
+def test_rational_axis_float_cells_never_count():
+    # {k * 0.3}, k = 1..40, takes ten values, each four times up to
+    # rounding: the cells between copies are float artefacts far below the
+    # tolerance, and only the ten cells between distinct values count, as
+    # on Z/10, where the copies coincide.
+    k = np.arange(1, 41)
+    x = np.mod(k * 0.3, 1.0)
+    assert 0 < np.sort(np.diff(np.sort(x)))[-10] <= 1e-12
+    for xs, unit, tol in ((x, 1.0, 1e-9), (3 * k % 10, 10, 0)):
+        cells = _Cells(xs, unit, tol)
+        assert cells.positive.sum() == 10
+        cells.insert(*ranges(cells, xs, unit, [(0, 1), (1, 2), (2, 3)]))
+        assert cells.prefix[-1] > 0
+        copies = [(i, i + 10) for i in range(30)]
+        assert not cells.query(*ranges(cells, xs, unit, copies)).any()
+
+
+def test_works_with_fraction_endpoints():
+    # A fraction x / 12 enters as its lattice residue on Z/L, L = 12 s:
+    # int64 for small L, Python ints once L >= 2**62.
+    for scale, dtype in ((1, np.int64), (2 ** 70, object)):
+        x = np.array([4 * scale, 6 * scale, 8 * scale, 0], dtype=dtype)  # 1/3, 1/2, 2/3, 0
+        cells = _Cells(x, 12 * scale, 0)
+        assert cells.rank.dtype == np.int64
+        cells.insert(*ranges(cells, x, 12 * scale, [(0, 1)]))  # [1/3, 1/2]
+        got = cells.query(*ranges(cells, x, 12 * scale, [(0, 2), (1, 2), (3, 0)]))
+        assert got.tolist() == [True, False, False]
 
 
 def test_two_row_query_equals_the_row_queries():
-    # The sweep queries both arc components of an axis at once, as (2, k)
-    # arrays; each row reads as its own 1-D query, from empty coverage on
-    # and with empty components [2 unit, 2 unit) among the queries.
+    # A query is elementwise: a (2, k) batch reads each row as its own 1-D
+    # query, from empty coverage on.
     rng = random.Random(1313)
-    for dtype, unit in ((np.float64, 1000), (np.int64, 1000), (object, 2 ** 70)):
-        cov = _FloatCoverage(dtype)
+    for kind in KINDS:
+        x, unit, _, cells = axis([rng.randrange(GRID) for _ in range(25)], kind)
         for _ in range(12):
             k = rng.randrange(12)
-            s = [[rng.randrange(unit) for _ in range(k)] for _ in range(2)]
-            e = [[min(x + rng.randrange(-unit // 10, unit // 3), unit) for x in row]
-                 for row in s]
-            for row_s, row_e in zip(s, e):
-                for i in rng.sample(range(k), k // 4):
-                    row_s[i] = row_e[i] = 2 * unit
-            qs, qe = np.array(s, dtype=dtype), np.array(e, dtype=dtype)
-            got = cov.query(qs, qe)
+            rows = [ranges(cells, x, unit, [(rng.randrange(25), rng.randrange(25))
+                                            for _ in range(k)]) for _ in range(2)]
+            lo, hi, wrap = (np.array([r[i] for r in rows]) for i in range(3))
+            got = cells.query(lo, hi, wrap)
             assert got.shape == (2, k)
-            assert got.tolist() == [cov.query(qs[0], qe[0]).tolist(),
-                                    cov.query(qs[1], qe[1]).tolist()]
-            cov.insert_many(qs.ravel(), qe.ravel())
+            assert got.tolist() == [cells.query(*rows[0]).tolist(),
+                                    cells.query(*rows[1]).tolist()]
+            cells.insert(lo.ravel(), hi.ravel(), wrap.ravel())

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -474,17 +475,101 @@ SETTLED_CASES = {
 def test_settled_q_skips_queries_not_inserts(case, monkeypatch):
     alphas, n = SETTLED_CASES[case]
     shapes = []
-    query = tournament._FloatCoverage.query
+    query = tournament._Cells.query
 
-    def counted(cov, qs, qe):
-        shapes.append(qs.shape)
-        return query(cov, qs, qe)
+    def counted(cells, lo, hi, wrap):
+        shapes.append(lo.shape)
+        return query(cells, lo, hi, wrap)
 
-    monkeypatch.setattr(tournament._FloatCoverage, "query", counted)
+    monkeypatch.setattr(tournament._Cells, "query", counted)
     swept = survivors_sweep(alphas, n)
     monkeypatch.undo()
-    # One query per queried axis of a q, both arc components at once.
-    assert all(len(shape) == 2 and shape[0] == 2 for shape in shapes)
-    assert len(shapes) < len(alphas) * (n - 1)
+    # One query per queried axis of a q, all its edges at once: every q is
+    # queried on its first axis, and some skip a later one.
+    assert all(len(shape) == 1 for shape in shapes)
+    assert n - 1 <= len(shapes) < len(alphas) * (n - 1)
     assert swept.survivors == survivors_brute(alphas, n).survivors
     assert swept.survivors == reference_survivors(alphas, n)
+
+
+def test_sweep_memory_stays_bounded():
+    # n = 3000 at m = 3 has 4,498,500 edges: one (n^2 / 2, m) array of them
+    # would take about 100 MB.  The sweep holds (m, n) arrays and the arcs
+    # of one tie group at a time.
+    alphas = np.random.default_rng(5).random(3).tolist()
+    tracemalloc.start()
+    try:
+        report = survivors_sweep(alphas, 3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.survivor_count + report.defeated_count == 4_498_500
+    assert peak < 8 * 2 ** 20
+
+
+# Sweep reports pinned at commit 272a1c7, before the sweep's coverage moved
+# to rank space: the first 16 hex digits of the sha256 of each report's repr
+# followed by its survivors and survivor_lengths, for the cases of
+# parity_cases() in order.
+PARITY_DIGESTS = """
+    1c0095da0b025998 b643fcd88c705b82 b3cb72d888e232da e1e8da42a12e299d 6149ff7cdbca1d67
+    5c6e82a9123f45e1 21e939c87be95546 a009022ba01208b2 34d217fbbcef7c81 0ced794624bc5e9c
+    a7d6e8c1096b4779 8a50a90449e3e41f ef89b7c3862ff074 4b475e61b5ce851f 48a5c4691443d628
+    af46ac423b5f81a1 8adf3b6f59a95b66 601f193e1494c9ca 579d79d875cc6991 25f055c184ed893c
+    8dc5b505b559e7c2 d1261a74c5fbf97c 2b89b0ae0f4fb792 138f3dbeaf9724af 948ea4bada567eff
+    f095d780ce703235 638efd9ba86261e9 0da0c04178ae582b 9549bde1a65bbd17 d236589404f16bdf
+    36bb19bcaec68148 55b8e10bb72dde10 40134875b35393a5 e68374b633bcdeac 2942749067217194
+    b007f3b9fad986ea 8b6f5e4b58505e6c ac1e4edf83aaf3c9 dbfef77c32f630a4 0e61e2ffb4515680
+    a6619a4dbe4a52ee a6e85ac905ff861f 5a7cf0ecb19c4a6f 5cff3934548f1ab8 74be96da86a3293d
+    411418a2334fcf8a fd73c48814e4def6 cba12d045985e595 3b9a470af7b1d141 b70447f9c34174a7
+    179338fe14bb7847 f280a442085c5dd7 85afcf710333e54a d5525e5c3feb59fa 75cc591f963c4f68
+    836cef327d9aa185 6112d79e0f4d5094 5cea970c1ed49d61 2a7c2296570ca18c 5551c151e6b15d1e
+    61a978411b73f923 e9f65021f28a44f2 d46c452677a5e99f ad6f2a56b9a38a63 232abc37087d209e
+    59c581e4667b5760 96dbf4b467083ed1 4d90de7c2e52dad3 54eeb6f8fd80e7ee bfcd032bbf1dc691
+    9f8d5986b2e8b4af da0a8c33ab2c3bdc fd63511a107f186d 8fdea5d393d5523a f1d2b7bb67e8001f
+    437716327a46166a 1512365683b5d8a3 33e13f05f0932b20 2ec7a8c156744b98 d422901b769a6ea9
+    4bb60c0aaf235846 9985879839390960 ce9613716f89c1d4 406607d1331fae9c 1ca227bffa0e8427
+    9ee052a104aa2647 975c577a4fcbd7ce 4be9fce03a184237 1ba2f5650264d4b2 aaf4aa70685ff22c
+""".split()
+
+
+def parity_cases():
+    """90 seeded instances, n <= 300: five at each m = 1..3 of six kinds of
+    generator.  Small denominators come with n past them; the wide lattice
+    has L = 2**64 + 13 (a prime), past int64."""
+    rng = random.Random(1616)
+
+    def rational(d):
+        return Fraction(rng.randrange(1, d), d)
+
+    kinds = {
+        "float": lambda: rng.random(),
+        "rational": lambda: rational(rng.randrange(2, 10_000)),
+        "float_of_rational": lambda: float(rational(rng.randrange(2, 400))),
+        "two_decimal": lambda: rng.randrange(1, 100) / 100,
+        "small_denominator": lambda: rational(rng.randrange(2, 13)),
+        "wide_lattice": lambda: rational(2 ** 64 + 13),
+    }
+    cases = []
+    for kind in sorted(kinds):
+        for m in (1, 2, 3):
+            for _ in range(5):
+                lo = 13 if kind == "small_denominator" else 2
+                n = rng.randrange(lo, 301)
+                cases.append((kind, [kinds[kind]() for _ in range(m)], n))
+    return cases
+
+
+def report_digest(report):
+    text = repr(report) + repr(report.survivors) + repr(report.survivor_lengths)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_sweep_reports_match_pinned_digests():
+    cases = parity_cases()
+    assert len(cases) == len(PARITY_DIGESTS) == 90
+    assert all(kronecker_instance(a, n).points.dtype == object
+               for kind, a, n in cases if kind == "wide_lattice")
+    changed = [(kind, a, n) for (kind, a, n), want in zip(cases, PARITY_DIGESTS)
+               if report_digest(survivors_sweep(a, n)) != want]
+    assert changed == []
