@@ -14,9 +14,10 @@ Two independent engines compute S:
   each edge's per-axis arcs against the union of all strictly shorter
   arcs.  "Some shorter edge overlaps on some axis" distributes over the
   union, so one coverage structure per axis replaces all pairwise tests.
-  Every arc runs between two of the n points, so the coverage lives in
-  rank space: each axis is sorted once, an arc is a cyclic range of the n
-  cells between rank-adjacent points, and the union is a set of cells.
+  Every arc part runs between two of a few values per point, so the
+  coverage lives in rank space: each axis's part ends are sorted once, a
+  part is a range of the cells between them, and the union is a set of
+  cells.
 * ``survivors_brute`` applies the defeat relation pairwise and serves as
   the oracle for the sweep.  It lays out all edges in (group, q, j) order,
   so an edge's possible defeaters are the prefix below its group, and
@@ -35,13 +36,14 @@ exact and every comparison literal.  The circle has length ``unit``
 Edges whose lengths agree within the tolerance (exactly, in exact mode)
 form one group and never defeat each other (the relation is strictly
 "shorter beats longer"); a group's arcs enter the coverage only after the
-whole group is judged.  Intersections of measure below the tolerance
-(floating-point artefacts on rational inputs, where exact arithmetic gives
-empty arcs or exact endpoint touches) never count as defeats, read two
-ways.  The sweep counts only cells wider than the tolerance (wider than 0
-in exact mode).  The brute force reads the relation in coordinates: in
-floating mode it shrinks every arc part by half the tolerance at both
-ends, on the judged side and the opponent side alike.
+whole group is judged.  In floating mode every arc part is shrunk by half
+the tolerance at both ends, on the judged side and the opponent side
+alike, so intersections of measure below the tolerance (floating-point
+artefacts on rational inputs, where exact arithmetic gives empty arcs or
+exact endpoint touches) never count as defeats.  Both engines read this
+one rule: the brute force compares the shrunk parts in coordinates, the
+sweep as ranges of cells whose ends are the shrunk part ends, which
+decides the same comparisons.
 """
 
 from __future__ import annotations
@@ -112,31 +114,33 @@ class SurvivorReport:
         return len(self.distinct_lengths)
 
 
-def _assemble_report(alive: list[tuple[int, float, int, int]], total_edges: int,
-                     mode: str, exact: bool) -> SurvivorReport:
-    """alive: (group_id, length, j, k) for each undefeated edge."""
-    survivors = sorted((j, k) for _, _, j, k in alive)
-    lengths_by_edge = {(j, k): ln for _, ln, j, k in alive}
-    by_group: dict[int, list[tuple[float, int, int]]] = {}
-    for gid, ln, j, k in alive:
-        by_group.setdefault(gid, []).append((ln, j, k))
-    distinct = []
-    witnesses = []
-    for gid in sorted(by_group):
-        entries = by_group[gid]
-        rep = min(ln for ln, _, _ in entries)
-        wit = min((j, k) for ln, j, k in entries if ln == rep)
-        distinct.append(rep)
-        witnesses.append((rep, wit))
+def _assemble_report(inst: Instance, gid: np.ndarray, qi: np.ndarray, j: np.ndarray,
+                     total_edges: int, mode: str) -> SurvivorReport:
+    """The report of the undefeated edges, given as arrays of their tie
+    group, q - 1 and 0-based j."""
+    j = j + 1
+    k = j + qi + 1
+    lengths = inst.lengths[qi]
+    order = np.lexsort((k, j))
+    # Each group's representative is its shortest surviving length, and its
+    # witness the smallest (j, k) at that length: the first edge of the
+    # group in (length, j, k) order.
+    by_group = np.lexsort((k, j, lengths, gid))
+    first = by_group[np.flatnonzero(np.diff(gid[by_group], prepend=-1))]
+    distinct = lengths[first].tolist()
+    # One int object per point index, shared by every pair that names it,
+    # so a kept report holds at most n + 1 ints, not two per survivor.
+    index = np.arange(len(inst.points) + 1, dtype=object)
+    survivors = list(zip(index[j[order]].tolist(), index[k[order]].tolist()))
     return SurvivorReport(
         distinct_lengths=distinct,
-        witnesses=witnesses,
+        witnesses=list(zip(distinct, zip(j[first].tolist(), k[first].tolist()))),
         survivor_count=len(survivors),
         defeated_count=total_edges - len(survivors),
         mode=mode,
         survivors=survivors,
-        survivor_lengths=[lengths_by_edge[e] for e in survivors],
-        exact=exact,
+        survivor_lengths=lengths[order].tolist(),
+        exact=inst.exact,
     )
 
 
@@ -147,45 +151,75 @@ def _assemble_report(alive: list[tuple[int, float, int, int]], total_edges: int,
 class _Cells:
     """The coverage of one axis, held in rank space.
 
-    The axis's n points, sorted once, cut the circle into n cells: cell i
-    runs from the point of rank i to the point of rank i + 1, and the last
-    one wraps from the largest point round to the smallest.  A cell is
-    *positive* when its width exceeds ``tol`` (the tolerance in floating
-    mode, 0 on the lattice), so the empty cells between coincident points,
-    and the float artefacts of rational axes, never count.  Every arc the
-    sweep judges runs between two of the points, so it is a cyclic range of
-    cells: [lo, hi) when it does not wrap and [hi, n) with [0, lo) when it
-    does, lo < hi the ranks of its ends.  Two arcs overlap when they share a
-    positive cell; a touch at a single point shares none.  ``covered``
-    marks the positive cells of the arcs inserted so far and ``prefix``
-    counts them, so a query is one prefix-sum difference."""
+    Every arc part is shrunk by ``shrink`` at both ends (see the module
+    notes), so each runs between two of the values x + shrink and
+    x - shrink (x a point of the axis), shrink and unit - shrink.  Sorted
+    once and deduplicated, these values cut the circle into cells of
+    positive width, and a part is the range of cells between the ranks of
+    its ends: two half-open parts intersect exactly when they share a cell,
+    so rank space decides what the coordinates decide.  Only the cells in
+    [shrink, unit - shrink) are *live*; no part reaches the others.
+    ``covered`` marks the cells of the arcs inserted so far and ``prefix``
+    counts them, so a query is one prefix-sum difference.
 
-    __slots__ = ("rank", "positive", "covered", "prefix")
+    An arc is (lo, hi, wrap), as ``_arcs`` builds it.  A plain arc is the
+    cells [lo, hi), empty when hi <= lo; a wrapped one is every live cell
+    outside [lo, hi)."""
 
-    def __init__(self, x: np.ndarray, unit, tol) -> None:
-        n = len(x)
-        order = np.argsort(x, kind="stable")
-        self.rank = np.empty(n, dtype=np.int64)
-        self.rank[order] = np.arange(n)
-        xs = x[order]
-        self.positive = np.diff(xs, append=xs[:1] + unit) > tol
-        self.covered = np.zeros(n, dtype=bool)
-        self.prefix = np.zeros(n + 1, dtype=np.int64)
+    __slots__ = ("live", "covered", "prefix")
+
+    def __init__(self, cells: int, first: int, last: int) -> None:
+        self.live = np.zeros(cells, dtype=bool)
+        self.live[first:last] = True
+        self.covered = np.zeros(cells, dtype=bool)
+        self.prefix = np.zeros(cells + 1, dtype=np.int64)
 
     def query(self, lo: np.ndarray, hi: np.ndarray, wrap: np.ndarray) -> np.ndarray:
-        """Whether each arc holds a covered positive cell."""
+        """Whether each arc holds a covered cell."""
         inside = self.prefix[hi] - self.prefix[lo]
         return np.where(wrap, self.prefix[-1] - inside, inside) > 0
 
     def insert(self, lo: np.ndarray, hi: np.ndarray, wrap: np.ndarray) -> None:
-        """Cover the cells of all the arcs at once, through one difference
-        array: +1 at the start of each range and -1 at its end, where a
-        wrapped arc is every cell less [lo, hi)."""
-        n = len(self.covered)
+        """Cover the cells of all the arcs at once, through one
+        difference array: +1 at the start of each range and -1 at its end,
+        where a wrapped arc is every cell less [lo, hi)."""
+        size = len(self.prefix)  # ranks run up to the cell count
+        hi = np.maximum(lo, hi)  # a plain arc whose shrunk ends cross is empty
         sign = np.where(wrap, -1, 1)
-        depth = np.cumsum(np.bincount(lo, sign, n) - np.bincount(hi, sign, n))
-        self.covered |= (depth + np.count_nonzero(wrap) > 0) & self.positive
+        depth = np.cumsum(np.bincount(lo, sign, size) - np.bincount(hi, sign, size))[:-1]
+        self.covered |= (depth + np.count_nonzero(wrap) > 0) & self.live
         np.cumsum(self.covered, out=self.prefix[1:])
+
+
+def _rank_space(X: np.ndarray, unit, shrink):
+    """(S, E, axes) of the (axis, point) coordinates X: the ranks of
+    x + shrink and x - shrink among the cell ends of each axis, as two int64
+    arrays shaped like X, and each axis's empty ``_Cells``."""
+    m, n = X.shape
+    S = np.empty((m, n), dtype=np.int64)
+    E = np.empty((m, n), dtype=np.int64)
+    axes = []
+    rim = np.array([shrink, unit - shrink], dtype=X.dtype)
+    for r, x in enumerate(X):
+        ends, rank = np.unique(np.concatenate([x + shrink, x - shrink, rim]),
+                               return_inverse=True)
+        S[r], E[r] = rank[:n], rank[n:2 * n]
+        axes.append(_Cells(len(ends) - 1, rank[-2], rank[-1]))
+    return S, E, axes
+
+
+def _arcs(X, S, E, j, k, unit):
+    """(lo, hi, wrap) of the arcs between the points j and k (indices or
+    slices along the last axis of X, S and E).  An arc wraps when it spans
+    more than half the circle.  Ranks keep the order of the points, so the
+    lower point's shrunk ends have the smaller ranks: a plain arc runs from
+    the lower point's start to the upper one's end, and a wrapped arc
+    leaves out [lower end, upper start)."""
+    wrap = 2 * np.abs(X[..., j] - X[..., k]) > unit
+    sj, sk, ej, ek = S[..., j], S[..., k], E[..., j], E[..., k]
+    lo = np.where(wrap, np.minimum(ej, ek), np.minimum(sj, sk))
+    hi = np.where(wrap, np.maximum(sj, sk), np.maximum(ej, ek))
+    return lo, hi, wrap
 
 
 def _axis_components(pj: np.ndarray, pk: np.ndarray, unit, shrink):
@@ -235,32 +269,30 @@ def _sweep(inst: Instance, epsilon: float) -> SurvivorReport:
     defeated, its remaining axes go unqueried; its arcs on all axes still
     enter the coverages with the group, so later groups meet the same
     coverages either way."""
-    P, n, unit, _, groups = _judging(inst, epsilon)
+    P, n, unit, shrink, groups = _judging(inst, epsilon)
     X = np.ascontiguousarray(P.T)  # (axis, point)
-    axes = [_Cells(x, unit, 0 if inst.exact else epsilon) for x in X]
-    ranks = np.array([axis.rank for axis in axes])
-    alive: list[tuple[int, float, int, int]] = []
+    S, E, axes = _rank_space(X, unit, shrink)
+    alive: list[tuple[int, int, np.ndarray]] = []  # (group, q - 1, 0-based j's)
     for gid, group in enumerate(groups):
         pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for qi in group:
             q = qi + 1
             cnt = n - q
-            rj, rk = ranks[:, :cnt], ranks[:, q:]
-            # An arc wraps when it spans more than half the circle.
-            wrap = 2 * np.abs(X[:, :cnt] - X[:, q:]) > unit
-            lo, hi = np.minimum(rj, rk), np.maximum(rj, rk)
+            lo, hi, wrap = _arcs(X, S, E, slice(0, cnt), slice(q, n), unit)
             pending.append((lo, hi, wrap))
             defeated = np.zeros(cnt, dtype=bool)
             for r, axis in enumerate(axes):
                 if r and defeated.all():
                     break  # settled; its arcs on every axis still go in below
                 defeated |= axis.query(lo[r], hi[r], wrap[r])
-            ln = float(inst.lengths[qi])
-            for idx in np.flatnonzero(~defeated):
-                alive.append((gid, ln, int(idx) + 1, int(idx) + 1 + q))
+            if not defeated.all():
+                alive.append((gid, qi, np.flatnonzero(~defeated)))
         for r, axis in enumerate(axes):
             axis.insert(*(np.concatenate([arc[r] for arc in part]) for part in zip(*pending)))
-    return _assemble_report(alive, n * (n - 1) // 2, "sweep", inst.exact)
+    gid, qi, js = zip(*alive)  # the shortest group is never defeated
+    counts = [len(j) for j in js]
+    return _assemble_report(inst, np.repeat(gid, counts), np.repeat(qi, counts),
+                            np.concatenate(js), n * (n - 1) // 2, "sweep")
 
 
 # Tiling of the brute force.  Edges are judged _ROWS at a time against
@@ -319,9 +351,8 @@ def _brute(inst: Instance, epsilon: float) -> SurvivorReport:
             # meet the next chunk.
             c0 = c1
             rows = rows[~dead & (prefix[rows] > c0)]
-    alive = [(int(gid[e]), float(inst.lengths[qi[e]]), int(j[e]) + 1, int(k[e]) + 1)
-             for e in np.flatnonzero(~defeated)]
-    return _assemble_report(alive, total, "brute", inst.exact)
+    live = ~defeated
+    return _assemble_report(inst, gid[live], qi[live], j[live], total, "brute")
 
 
 # ---------------------------------------------------------------------------

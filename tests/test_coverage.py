@@ -1,93 +1,115 @@
-"""The sweep's per-axis coverage in rank space (``_Cells``): the n cells
-between an axis's sorted points, judged against a naive covered-cell model
-that works in coordinates, in each element type the engines use."""
+"""The sweep's per-axis coverage in rank space (``_Cells``, ``_rank_space``,
+``_arcs``), judged against a naive model that reads the defeat relation in
+coordinates: every arc part shrunk by ``shrink`` at both ends, and two arcs
+overlap when some pair of their shrunk half-open parts intersects.  The
+model runs in each element type the engines use."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from torusgaps.tournament import _Cells
+from torusgaps.tournament import _arcs, _rank_space
 
-# (dtype, scale, unit, tol): points are integer grid coordinates c in
-# [0, GRID) placed at c * scale on a circle of length unit.  Float mode
-# compares cell widths with the tolerance, the lattice with 0; object
-# arrays hold Python ints past int64.
+# (dtype, scale, unit, shrink): points are integer grid coordinates c in
+# [0, GRID) placed at c * scale on a circle of length unit.  "float" shrinks
+# by half the default tolerance; "coarse" by 3/4 of a grid step, so any
+# intersection up to 1.5 steps, even one made of several cells, never
+# counts.  The lattice shrinks nothing; object arrays hold Python ints past
+# int64.
 GRID = 64
 KINDS = {
-    "float": (np.float64, 1 / GRID, 1.0, 1e-9),
+    "float": (np.float64, 1 / GRID, 1.0, 5e-10),
+    "coarse": (np.float64, 1 / GRID, 1.0, 0.75 / GRID),
     "int64": (np.int64, 1000, 1000 * GRID, 0),
     "object": (object, 2 ** 70, 2 ** 70 * GRID, 0),
 }
 
 
+class Axis:
+    """One axis's coverage and the arcs between its points."""
+
+    def __init__(self, x, unit, shrink):
+        self.x, self.unit, self.shrink = x, unit, shrink
+        self.S, self.E, (self.cells,) = _rank_space(x[None, :], unit, shrink)
+
+    def arcs(self, pairs):
+        j = np.array([a for a, _ in pairs], dtype=np.int64)
+        k = np.array([b for _, b in pairs], dtype=np.int64)
+        return _arcs(self.x, self.S[0], self.E[0], j, k, self.unit)
+
+    def query(self, pairs):
+        return self.cells.query(*self.arcs(pairs)).tolist()
+
+    def insert(self, pairs):
+        self.cells.insert(*self.arcs(pairs))
+
+    def covered_measure(self):
+        """The summed width of the covered cells, exactly."""
+        s = self.shrink
+        ends = np.unique(np.concatenate([self.x + s, self.x - s, [s, self.unit - s]]))
+        widths = [Fraction(b) - Fraction(a) for a, b in zip(ends.tolist(), ends[1:].tolist())]
+        return sum(w for w, c in zip(widths, self.cells.covered.tolist()) if c)
+
+
 def axis(coords, kind):
-    dtype, scale, unit, tol = KINDS[kind]
-    x = np.array([c * scale for c in coords], dtype=dtype)
-    return x, unit, tol, _Cells(x, unit, tol)
+    dtype, scale, unit, shrink = KINDS[kind]
+    return Axis(np.array([c * scale for c in coords], dtype=dtype), unit, shrink)
 
 
-def ranges(cells, x, unit, pairs):
-    """(lo, hi, wrap) of the arcs between the point pairs, as the sweep
-    builds them: the ranks of the ends, and 2 |x_j - x_k| > unit."""
-    j = np.array([a for a, _ in pairs], dtype=np.int64)
-    k = np.array([b for _, b in pairs], dtype=np.int64)
-    rj, rk = cells.rank[j], cells.rank[k]
-    wrap = 2 * np.abs(x[j] - x[k]) > unit
-    return np.minimum(rj, rk), np.maximum(rj, rk), np.asarray(wrap, dtype=bool)
-
-
-def naive_cells(xs, unit, tol):
-    """The positive cells (a, b) between cyclically adjacent points, the
-    last one running past unit to the smallest point."""
-    s = sorted(xs)
-    return [(a, b) for a, b in zip(s, s[1:] + [s[0] + unit]) if b - a > tol]
-
-
-def naive_holds(x, y, unit, cell):
-    """The geodesic arc between x and y holds the cell: a plain arc
-    [lo, hi] holds the cells inside it, a wrapped one the cells outside."""
+def naive_parts(x, y, unit, s):
+    """The shrunk half-open parts of the geodesic arc between x and y: one
+    for a plain arc, two for one that wraps through 0, none that vanish."""
     lo, hi = min(x, y), max(x, y)
-    inside = lo <= cell[0] and cell[1] <= hi
-    return inside != (2 * (hi - lo) > unit)
+    if 2 * (hi - lo) > unit:
+        parts = [(0 + s, lo - s), (hi + s, unit - s)]
+    else:
+        parts = [(lo + s, hi - s)]
+    return [(a, b) for a, b in parts if a < b]
 
 
 class NaiveCoverage:
-    def __init__(self, xs, unit, tol):
-        self.xs, self.unit = xs.tolist(), unit
-        self.cells = naive_cells(self.xs, unit, tol)
-        self.covered = set()
+    def __init__(self, ax):
+        self.xs, self.unit, self.s = ax.x.tolist(), ax.unit, ax.shrink
+        self.parts = []
 
     def arc(self, j, k):
-        return {c for c in self.cells
-                if naive_holds(self.xs[j], self.xs[k], self.unit, c)}
+        return naive_parts(self.xs[j], self.xs[k], self.unit, self.s)
 
     def query(self, pairs):
-        return [bool(self.arc(j, k) & self.covered) for j, k in pairs]
+        return [any(a < d and c < b for a, b in self.arc(j, k) for c, d in self.parts)
+                for j, k in pairs]
 
     def insert(self, pairs):
         for j, k in pairs:
-            self.covered |= self.arc(j, k)
+            self.parts += self.arc(j, k)
+
+    def measure(self):
+        """The exact measure of the union of the inserted parts."""
+        total, reach = Fraction(0), None
+        for a, b in sorted((Fraction(a), Fraction(b)) for a, b in self.parts):
+            if reach is None or a > reach:
+                total, reach = total + b - a, b
+            elif b > reach:
+                total, reach = total + b - reach, b
+        return total
 
 
 def check_against_naive(coords, batches, kind):
-    x, unit, tol, cells = axis(coords, kind)
-    naive = NaiveCoverage(x, unit, tol)
-    assert cells.positive.sum() == len(naive.cells)
+    ax = axis(coords, kind)
+    naive = NaiveCoverage(ax)
     for batch in batches:
         pairs = [(j % len(coords), k % len(coords)) for j, k in batch]
         if not pairs:
             continue
-        lo, hi, wrap = ranges(cells, x, unit, pairs)
-        assert cells.query(lo, hi, wrap).tolist() == naive.query(pairs)
-        cells.insert(lo, hi, wrap)
+        assert ax.query(pairs) == naive.query(pairs)
+        ax.insert(pairs)
         naive.insert(pairs)
-        assert cells.prefix[-1] == len(naive.covered)
-    # The covered cells measure what the union of the inserted arcs does.
-    xs = np.sort(x)
-    widths = np.diff(xs, append=xs[:1] + unit)
-    assert widths[cells.covered].sum() == sum(b - a for a, b in naive.covered)
+        assert ax.cells.prefix[-1] == np.count_nonzero(ax.cells.covered)
+    # The covered cells measure what the union of the inserted parts does.
+    assert ax.covered_measure() == naive.measure()
 
 
 def test_randomized_against_naive_oracle():
@@ -108,80 +130,91 @@ pairs = st.tuples(st.integers(0, 39), st.integers(0, 39))
        st.sampled_from(sorted(KINDS)))
 def test_total_measure_matches_sorted_union(coords, batches, kind):
     # Coordinates drawn from a small grid repeat, so coincident points and
-    # their zero-width cells are common.
+    # the empty arcs between them are common.
     check_against_naive(coords, batches, kind)
 
 
 def test_insert_merges_touching_and_overlapping():
-    # Points 0, 10, 20, 30, 50 on a circle of 64 grid steps: five cells.
+    # Points 0, 10, 20, 30, 50 on a circle of 64 grid steps.  Arcs that
+    # touch, then overlap, cover [0, 30] less the shrink at the ends of each
+    # piece: [0, 10] and [10, 20] only touch, so a gap of twice the shrink
+    # stays open at 10, while [10, 30] merges with [10, 20].
     for kind in KINDS:
-        x, unit, _, cells = axis([0, 10, 20, 30, 50], kind)
-        for pair in ((0, 1), (1, 2), (1, 3)):  # touching, then overlapping
-            cells.insert(*ranges(cells, x, unit, [pair]))
-        assert cells.covered.tolist() == [True, True, True, False, False]
-        assert cells.prefix.tolist() == [0, 1, 2, 3, 3, 3]
+        ax = axis([0, 10, 20, 30, 50], kind)
+        for pair in ((0, 1), (1, 2), (1, 3)):
+            ax.insert([pair])
+        _, c, _, s = KINDS[kind]
+        f = Fraction
+        assert ax.covered_measure() == f(10 * c - s) - f(s) + f(30 * c - s) - f(10 * c + s)
+        assert ax.query([(0, 3), (3, 4), (4, 0)]) == [True, False, False]
 
 
 def test_wrapped_and_plain_ranges():
-    # Points 2, 20, 30, 60 (ranks 0..3) on 64 grid steps.  The arc 60 -> 2
-    # wraps through 0 and holds only the last cell [60, 66); 20 -> 30 holds
-    # cell 1; 2 -> 30 does not wrap and holds cells 0 and 1.
+    # Points 20, 2, 60, 30 on 64 grid steps.  The arc 60 -> 2 wraps through
+    # 0; 20 -> 30 and 2 -> 30 do not.  2 -> 30 only touches the wrapped arc,
+    # at 2, and holds 20 -> 30; 60 -> 20 wraps too and meets 60 -> 2 on both
+    # sides of 0.
     for kind in KINDS:
-        x, unit, _, cells = axis([20, 2, 60, 30], kind)
-        assert cells.rank.tolist() == [1, 0, 3, 2]
-        lo, hi, wrap = ranges(cells, x, unit, [(2, 1), (0, 3), (1, 3)])
-        assert (lo.tolist(), hi.tolist(), wrap.tolist()) == (
-            [0, 1, 0], [3, 2, 2], [True, False, False])
-        cells.insert(lo[:1], hi[:1], wrap[:1])
-        assert cells.covered.tolist() == [False, False, False, True]
-        assert cells.query(lo, hi, wrap).tolist() == [True, False, False]
-        cells.insert(lo[1:2], hi[1:2], wrap[1:2])
-        assert cells.query(lo, hi, wrap).tolist() == [True, True, True]
+        ax = axis([20, 2, 60, 30], kind)
+        arcs = [(2, 1), (0, 3), (1, 3), (2, 0)]
+        _, _, wrap = ax.arcs(arcs)
+        assert wrap.tolist() == [True, False, False, True]
+        ax.insert([(2, 1)])
+        assert ax.query(arcs) == [True, False, False, True]
+        ax.insert([(0, 3)])
+        assert ax.query(arcs) == [True, True, True, True]
 
 
 def test_half_open_touch_is_not_overlap():
     # Arcs that share only an end point share no cell, on both sides of a
     # plain arc and across the wrap.  Points 5, 20, 30, 45 on 64 steps.
     for kind in KINDS:
-        x, unit, _, cells = axis([5, 20, 30, 45], kind)
-        cells.insert(*ranges(cells, x, unit, [(1, 2)]))  # [20, 30]
-        got = cells.query(*ranges(cells, x, unit, [(2, 3), (0, 1), (3, 0), (0, 2)]))
-        assert got.tolist() == [False, False, False, True]
-        cells.insert(*ranges(cells, x, unit, [(3, 0)]))  # 45 -> 5 across 0
-        got = cells.query(*ranges(cells, x, unit, [(2, 3), (0, 1), (0, 3)]))
-        assert got.tolist() == [False, False, True]
+        ax = axis([5, 20, 30, 45], kind)
+        ax.insert([(1, 2)])  # [20, 30]
+        assert ax.query([(2, 3), (0, 1), (3, 0), (0, 2)]) == [False, False, False, True]
+        ax.insert([(3, 0)])  # 45 -> 5 across 0
+        assert ax.query([(2, 3), (0, 1), (0, 3)]) == [False, False, True]
 
 
 def test_empty_inserts_and_queries_are_ignored():
-    # Coincident points bound zero-width cells: an arc between them holds
-    # no positive cell, so it neither covers nor is ever hit, even on a
-    # covered axis.
+    # An arc between coincident points is empty: it neither covers nor is
+    # ever hit, even on a covered axis.
     for kind in KINDS:
-        x, unit, _, cells = axis([7, 30, 7, 30, 7], kind)
-        assert cells.positive.sum() == 2
-        cells.insert(*ranges(cells, x, unit, [(0, 2), (1, 3), (4, 0)]))
-        assert cells.prefix[-1] == 0
-        cells.insert(*ranges(cells, x, unit, [(0, 1)]))
-        assert cells.prefix[-1] == 1
-        got = cells.query(*ranges(cells, x, unit, [(0, 2), (1, 3), (2, 4), (0, 3)]))
-        assert got.tolist() == [False, False, False, True]
+        ax = axis([7, 30, 7, 30, 7], kind)
+        ax.insert([(0, 2), (1, 3), (4, 0)])
+        assert ax.cells.prefix[-1] == 0
+        ax.insert([(0, 1)])
+        assert ax.cells.prefix[-1] > 0
+        assert ax.query([(0, 2), (1, 3), (2, 4), (0, 3)]) == [False, False, False, True]
+
+
+def test_narrow_cells_count_only_as_a_whole():
+    # Under the coarse shrink (3/4 step at each end) two arcs overlap when
+    # their common stretch exceeds 1.5 steps, however many cells it spans.
+    # Points 10..13 one step apart cut [10, 13] into narrow cells.
+    ax = axis([10, 11, 12, 13, 40], "coarse")
+    naive = NaiveCoverage(ax)
+    ax.insert([(0, 2)])  # [10, 12]
+    naive.insert([(0, 2)])
+    # [11, 13] shares [11, 12] (1 step), [10, 13] shares [10, 12] (2 steps).
+    assert ax.query([(1, 3), (0, 3)]) == naive.query([(1, 3), (0, 3)]) == [False, True]
 
 
 def test_rational_axis_float_cells_never_count():
     # {k * 0.3}, k = 1..40, takes ten values, each four times up to
-    # rounding: the cells between copies are float artefacts far below the
-    # tolerance, and only the ten cells between distinct values count, as
-    # on Z/10, where the copies coincide.
+    # rounding: arcs between copies are float artefacts far below the
+    # tolerance and never overlap anything, as on Z/10, where the copies
+    # coincide.
     k = np.arange(1, 41)
     x = np.mod(k * 0.3, 1.0)
     assert 0 < np.sort(np.diff(np.sort(x)))[-10] <= 1e-12
-    for xs, unit, tol in ((x, 1.0, 1e-9), (3 * k % 10, 10, 0)):
-        cells = _Cells(xs, unit, tol)
-        assert cells.positive.sum() == 10
-        cells.insert(*ranges(cells, xs, unit, [(0, 1), (1, 2), (2, 3)]))
-        assert cells.prefix[-1] > 0
-        copies = [(i, i + 10) for i in range(30)]
-        assert not cells.query(*ranges(cells, xs, unit, copies)).any()
+    copies = [(i, i + 10) for i in range(30)]
+    for ax in (Axis(x, 1.0, 5e-10), Axis(3 * k % 10, 10, 0)):
+        ax.insert([(0, 1), (1, 2), (2, 3)])
+        assert ax.cells.prefix[-1] > 0
+        assert not any(ax.query(copies))
+        ax.insert(copies)
+        assert not any(ax.query(copies))
 
 
 def test_works_with_fraction_endpoints():
@@ -189,11 +222,10 @@ def test_works_with_fraction_endpoints():
     # int64 for small L, Python ints once L >= 2**62.
     for scale, dtype in ((1, np.int64), (2 ** 70, object)):
         x = np.array([4 * scale, 6 * scale, 8 * scale, 0], dtype=dtype)  # 1/3, 1/2, 2/3, 0
-        cells = _Cells(x, 12 * scale, 0)
-        assert cells.rank.dtype == np.int64
-        cells.insert(*ranges(cells, x, 12 * scale, [(0, 1)]))  # [1/3, 1/2]
-        got = cells.query(*ranges(cells, x, 12 * scale, [(0, 2), (1, 2), (3, 0)]))
-        assert got.tolist() == [True, False, False]
+        ax = Axis(x, 12 * scale, 0)
+        assert ax.S.dtype == ax.E.dtype == np.int64
+        ax.insert([(0, 1)])  # [1/3, 1/2]
+        assert ax.query([(0, 2), (1, 2), (3, 0)]) == [True, False, False]
 
 
 def test_two_row_query_equals_the_row_queries():
@@ -201,14 +233,14 @@ def test_two_row_query_equals_the_row_queries():
     # query, from empty coverage on.
     rng = random.Random(1313)
     for kind in KINDS:
-        x, unit, _, cells = axis([rng.randrange(GRID) for _ in range(25)], kind)
+        ax = axis([rng.randrange(GRID) for _ in range(25)], kind)
         for _ in range(12):
             k = rng.randrange(12)
-            rows = [ranges(cells, x, unit, [(rng.randrange(25), rng.randrange(25))
-                                            for _ in range(k)]) for _ in range(2)]
+            rows = [ax.arcs([(rng.randrange(25), rng.randrange(25)) for _ in range(k)])
+                    for _ in range(2)]
             lo, hi, wrap = (np.array([r[i] for r in rows]) for i in range(3))
-            got = cells.query(lo, hi, wrap)
+            got = ax.cells.query(lo, hi, wrap)
             assert got.shape == (2, k)
-            assert got.tolist() == [cells.query(*rows[0]).tolist(),
-                                    cells.query(*rows[1]).tolist()]
-            cells.insert(lo.ravel(), hi.ravel(), wrap.ravel())
+            assert got.tolist() == [ax.cells.query(*rows[0]).tolist(),
+                                    ax.cells.query(*rows[1]).tolist()]
+            ax.cells.insert(lo.ravel(), hi.ravel(), wrap.ravel())

@@ -573,3 +573,24 @@ def test_sweep_reports_match_pinned_digests():
     changed = [(kind, a, n) for (kind, a, n), want in zip(cases, PARITY_DIGESTS)
                if report_digest(survivors_sweep(a, n)) != want]
     assert changed == []
+
+
+# Near-degenerate floats: one-decimal values moved 1e-10 to 3e-9 off, so the
+# points gather in clusters whose cells are at or below the tolerance and an
+# overlap can span several such cells.  The sweep and the brute force read
+# one tolerance rule, so they agree here as everywhere.
+NEAR_DEGENERATE = [
+    ((0.7999999999,), 96), ((0.7999999999,), 54), ((0.5999999999,), 108),
+    ((0.3000000001,), 121), ((0.6999999999,), 42), ((0.6999999999,), 139),
+    ((0.2, 0.9000000001), 84), ((0.2999999999, 0.3), 16),
+    ((0.200000001, 0.8000000001), 158), ((0.500000001, 0.3999999999), 156),
+    ((0.1000000001, 0.3), 189), ((0.399999999, 0.7999999999, 0.3), 86),
+    ((0.3999999999, 0.3, 0.5000000001), 62), ((0.7999999999, 0.199999997, 0.7), 189),
+]
+
+
+@pytest.mark.parametrize("alphas,n", NEAR_DEGENERATE)
+def test_sweep_equals_brute_on_near_degenerate_floats(alphas, n):
+    swept, brute = survivors_sweep(alphas, n), survivors_brute(alphas, n)
+    assert swept.survivors == brute.survivors
+    assert swept.distinct_lengths == brute.distinct_lengths
