@@ -31,8 +31,7 @@ from .experiments import (
 from .gaps import gap_spectrum
 from .numerics import EPSILON, Real, kronecker_instance, valid_epsilon
 from .svgplot import render_survivors_svg
-from .tournament import (ORACLE_CAP, survivor_bound, survivors_brute,
-                         survivors_sweep)
+from .tournament import survivor_bound, survivors_brute, survivors_sweep
 
 USAGE_ERROR = 1
 VIOLATION = 2
@@ -84,14 +83,8 @@ def fmt_real(v) -> str:
     return f"{v:.12g}" if isinstance(v, float) else str(v)
 
 
-def _jsonable(v):
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return _num_to_json(v)
-
-
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(_num_to_json(payload), sort_keys=True))
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:
@@ -112,14 +105,14 @@ def cmd_gaps(args) -> int:
                             circular=args.circular)
     if args.format == "json":
         _emit_json({
-            "alpha": _jsonable(alpha),
+            "alpha": alpha,
             "n": args.n,
             "circular": spectrum.circular,
             "exact": spectrum.exact,
-            "points": _jsonable(spectrum.points),
+            "points": spectrum.points,
             "labels": spectrum.labels,
-            "gaps": _jsonable(spectrum.gaps),
-            "distinct_gaps": _jsonable(spectrum.distinct_gaps),
+            "gaps": spectrum.gaps,
+            "distinct_gaps": spectrum.distinct_gaps,
             "distinct_count": spectrum.distinct_count,
         })
     elif args.format == "csv":
@@ -153,7 +146,7 @@ def cmd_gaps(args) -> int:
 
 def _survivor_payload(report, alphas, n: int) -> dict:
     return {
-        "alphas": [_jsonable(a) for a in alphas],
+        "alphas": alphas,
         "n": n,
         "m": len(alphas),
         "mode": report.mode,
@@ -190,8 +183,7 @@ def cmd_survivors(args) -> int:
     if args.mode in ("sweep", "both"):
         reports.append(survivors_sweep(alphas, args.n, epsilon=args.epsilon))
     if args.mode in ("brute", "both"):
-        reports.append(survivors_brute(alphas, args.n, epsilon=args.epsilon,
-                                       oracle_cap=args.oracle_cap))
+        reports.append(survivors_brute(alphas, args.n, epsilon=args.epsilon))
     if args.format == "json":
         payload = _survivor_payload(reports[0], alphas, args.n)
         if len(reports) == 2:
@@ -199,10 +191,10 @@ def cmd_survivors(args) -> int:
             payload["modes_agree"] = reports[0].survivors == reports[1].survivors
         _emit_json(payload)
     elif args.format == "csv":
-        rows = [[i, f"{ln:.17g}", j, k]
+        rows = [[r.mode, i, f"{ln:.17g}", j, k]
                 for r in reports
                 for i, (ln, (j, k)) in enumerate(r.witnesses)]
-        _emit_csv(["index", "length", "witness_j", "witness_k"], rows)
+        _emit_csv(["mode", "index", "length", "witness_j", "witness_k"], rows)
     else:
         for r in reports:
             _print_survivors(r, alphas, args.n)
@@ -251,7 +243,7 @@ def cmd_denominators(args) -> int:
 
     if args.format == "json":
         _emit_json({
-            "alphas": [_jsonable(a) for a in alphas],
+            "alphas": alphas,
             "n": args.n,
             "m": m,
             "q1": profile.q1,
@@ -325,9 +317,9 @@ def cmd_verify(args) -> int:
         _emit_json({
             "suite": result.suite,
             "passed": result.passed,
-            "checks": [{"label": label, "ok": ok, "info": _jsonable_info(info)}
+            "checks": [{"label": label, "ok": ok, "info": info}
                        for label, ok, info in result.checks],
-            "stats": _jsonable_info(result.stats),
+            "stats": result.stats,
         })
     else:
         for label, ok, info in result.checks:
@@ -336,11 +328,6 @@ def cmd_verify(args) -> int:
         for k, v in result.stats.items():
             print(f"stat  {k} = {v}")
     return 0 if result.passed else VIOLATION
-
-
-def _jsonable_info(info: dict) -> dict:
-    return {k: (v if isinstance(v, (int, float, str, bool, dict)) else str(v))
-            for k, v in info.items()}
 
 
 def cmd_sweep(args) -> int:
@@ -419,8 +406,6 @@ def build_parser() -> _Parser:
     p.add_argument("--assert-bound", action="store_true",
                    help="exit 2 if |S| exceeds the dimension bound")
     p.add_argument("--max-m", type=int, default=4, help="largest accepted dimension")
-    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP,
-                   help="largest n allowed in brute mode")
     p.set_defaults(func=cmd_survivors)
 
     p = sub.add_parser("denominators", parents=[instance],

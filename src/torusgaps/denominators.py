@@ -194,8 +194,6 @@ def _profile(table: _Table) -> ApproximationProfile:
     """The approximation profile of a table of rows q = 1..n, n >= 2: each
     champion is one masked expression over a slice of the table's arrays."""
     n = len(table.lengths)
-    if n < 2:
-        raise ValueError("n must be >= 2")
     keys, tol = table.keys, table.tol
     h = n // 2
     q1 = table.smallest_minimizer(np.arange(1, h + 1))

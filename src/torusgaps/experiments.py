@@ -37,9 +37,9 @@ import numpy as np
 from .denominators import (approximation_profile, primary_count_bound,
                            profile_checks, undercut_bound)
 from .gaps import chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
-from .numerics import EPSILON, Real, valid_epsilon
-from .tournament import (ORACLE_CAP, survivor_bound, survivors_brute,
-                         survivors_sweep)
+from .numerics import (EPSILON, Real, edges_fit, points_fit, too_large,
+                       valid_epsilon)
+from .tournament import survivor_bound, survivors_brute, survivors_sweep
 
 __all__ = [
     "ConfigError",
@@ -120,21 +120,21 @@ class ExperimentConfig:
     alpha_source: UniformRandom | QuadraticIrrationals | RationalGrid | Explicit
     n_values: list[int]
     epsilon: float = EPSILON
-    oracle_cap: int = ORACLE_CAP
     seed: int = 0
     output: OutputSpec = field(default_factory=OutputSpec)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        src = d["alpha_source"]
-        if src.get("alphas"):
-            src["alphas"] = [[_num_to_json(v) for v in row] for row in src["alphas"]]
-        return d
+        return _num_to_json(asdict(self))
 
 
-def _num_to_json(v: Real):
-    """A Fraction as the text "p/q"; any other value unchanged."""
-    return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
+def _num_to_json(v):
+    """v as the JSON and CSV outputs write it: a Fraction as str() writes it
+    ("1/3", "0"), dicts, lists and tuples element by element."""
+    if isinstance(v, dict):
+        return {k: _num_to_json(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_num_to_json(x) for x in v]
+    return str(v) if isinstance(v, Fraction) else v
 
 
 def _is_number(v, kinds=(int, float)) -> bool:
@@ -210,7 +210,7 @@ def _parse_source(d: dict, m: int):
 def config_from_dict(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"m", "alpha_source", "n_values", "epsilon", "oracle_cap", "seed", "output"}
+    known = {"m", "alpha_source", "n_values", "epsilon", "seed", "output"}
     extra = sorted(set(d) - known)
     if extra:
         raise ConfigError("unknown config keys", extra)
@@ -221,16 +221,14 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     m = d["m"]
     if not _is_number(m, int) or m < 1:
         offending.append("m")
-    n_values = d["n_values"]
+    n_values, size_m = d["n_values"], 1 if offending else m  # m = 1 when m is bad
     if (not isinstance(n_values, list) or not n_values
-            or not all(_is_number(n, int) and n >= 2 for n in n_values)):
+            or not all(_is_number(n, int) and n >= 2 and points_fit(n, size_m)
+                       for n in n_values)):
         offending.append("n_values")
     epsilon = d.get("epsilon", EPSILON)
     if not _is_number(epsilon) or not valid_epsilon(epsilon):
         offending.append("epsilon")
-    oracle_cap = d.get("oracle_cap", ORACLE_CAP)
-    if not _is_number(oracle_cap, int) or oracle_cap < 2:
-        offending.append("oracle_cap")
     seed = d.get("seed", 0)
     if not _is_number(seed, int):
         offending.append("seed")
@@ -244,7 +242,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         alpha_source=_parse_source(d["alpha_source"], m),
         n_values=list(n_values),
         epsilon=float(epsilon),
-        oracle_cap=oracle_cap,
         seed=seed,
         output=OutputSpec(summary_json=out.get("summary_json"),
                           trials_csv=out.get("trials_csv")),
@@ -337,17 +334,12 @@ class TrialRecord:
     error: str | None = None
 
     def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["alphas"] = [_num_to_json(a) for a in self.alphas]
-        return d
+        return _num_to_json(asdict(self))
 
     def csv_row(self) -> list:
-        def cell(v):
-            return "" if v is None else _num_to_json(v)
-
-        return ([self.trial_id, self.m, self.n]
-                + [cell(a) for a in self.alphas]
-                + [cell(getattr(self, name)) for name in _CSV_FIELDS])
+        row = [self.trial_id, self.m, self.n, *self.alphas]
+        row += [getattr(self, name) for name in _CSV_FIELDS]
+        return ["" if v is None else v for v in _num_to_json(row)]
 
 
 # The per-trial CSV columns after trial_id, m, n and alpha_1..alpha_m.
@@ -520,23 +512,21 @@ def _reports_agree(a, b, tol: float) -> bool:
 def cross_check(config: ExperimentConfig) -> CrossCheckReport:
     """Run sweep and brute-force oracle on every trial; any disagreement is
     reported with the full instance."""
-    bad_n = [n for n in config.n_values if n > config.oracle_cap]
-    if bad_n:
-        raise ConfigError(
-            f"cross_check needs every n <= oracle_cap={config.oracle_cap}",
-            ["n_values"])
+    for n in config.n_values:
+        if not edges_fit(n, config.m):
+            raise ConfigError(f"n={n} is too large for the brute force at m={config.m}",
+                              ["n_values"])
     report = CrossCheckReport()
     for trial_id, alphas, n, _ in _enumerate_trials(config):
         report.trials += 1
         try:
             swept = survivors_sweep(alphas, n, epsilon=config.epsilon)
-            brute = survivors_brute(alphas, n, epsilon=config.epsilon,
-                                    oracle_cap=config.oracle_cap)
+            brute = survivors_brute(alphas, n, epsilon=config.epsilon)
         except Exception as exc:
             report.errors += 1
             report.mismatches.append({
                 "trial_id": trial_id,
-                "alphas": [_num_to_json(a) for a in alphas],
+                "alphas": _num_to_json(alphas),
                 "n": n,
                 "error": f"{type(exc).__name__}: {exc}",
             })
@@ -544,7 +534,7 @@ def cross_check(config: ExperimentConfig) -> CrossCheckReport:
         if not _reports_agree(swept, brute, 1e-12):
             report.mismatches.append({
                 "trial_id": trial_id,
-                "alphas": [_num_to_json(a) for a in alphas],
+                "alphas": _num_to_json(alphas),
                 "n": n,
                 "sweep_survivors": swept.survivors,
                 "brute_survivors": brute.survivors,
@@ -572,12 +562,15 @@ class VerifyResult:
         self.checks.append((label, bool(ok), info))
 
 
-def _uniform_config(m: int, trials: int, seed: int, max_n: int, epsilon: float,
-                    oracle_cap: int = ORACLE_CAP) -> ExperimentConfig:
-    """A suite's trial stream: ``trials`` uniform draws, n uniform in [2, max_n]."""
+def _uniform_config(m: int, trials: int, seed: int, max_n: int,
+                    epsilon: float) -> ExperimentConfig:
+    """A suite's trial stream: ``trials`` uniform draws, n uniform in [2, max_n],
+    checked against the size rule before the n list is built."""
+    if not points_fit(max_n, m):
+        raise too_large(max_n, m, "points")
     return ExperimentConfig(m=m, alpha_source=UniformRandom(trials),
                             n_values=list(range(2, max_n + 1)), epsilon=epsilon,
-                            oracle_cap=oracle_cap, seed=seed)
+                            seed=seed)
 
 
 def _suite_one_d(trials: int, seed: int, max_n: int, epsilon: float) -> VerifyResult:
@@ -624,12 +617,14 @@ def _survivor_suite(name: str, m: int, trials: int, seed: int, max_n: int,
 def _suite_lemmas(trials: int, seed: int, max_n: int, epsilon: float) -> VerifyResult:
     res = VerifyResult("lemmas")
     plan = [(1, max(1, trials // 10)), (2, trials), (3, max(1, (3 * trials) // 10))]
+    # Largest m first: its size rule is the strictest, checked before any trial.
+    configs = {m: _uniform_config(m, count, seed + m, max_n, epsilon)
+               for m, count in reversed(plan)}
     for m, count in plan:
         worst = dict.fromkeys(("primary_count", "primary_distinct", "undercut",
                                "secondary_distinct"), 0)
         bad: dict[str, int] = {}
-        config = _uniform_config(m, count, seed + m, max_n, epsilon)
-        for _, alphas, n, _ in _enumerate_trials(config):
+        for _, alphas, n, _ in _enumerate_trials(configs[m]):
             profile = approximation_profile(alphas, n, epsilon=epsilon)
             for name, value, bound in profile_checks(profile):
                 worst[name] = max(worst[name], value)
@@ -681,11 +676,12 @@ def _suite_classical(trials: int, seed: int, epsilon: float) -> VerifyResult:
 
 def _suite_oracle(trials: int, seed: int, max_n: int, epsilon: float) -> VerifyResult:
     res = VerifyResult("oracle")
+    # Largest m first: its size rules are the strictest, checked before any trial.
+    reports = {m: cross_check(_uniform_config(m, trials, seed + m, max_n, epsilon))
+               for m in (3, 2, 1)}
     for m in (1, 2, 3):
-        report = cross_check(_uniform_config(m, trials, seed + m, max_n, epsilon,
-                                             oracle_cap=max_n))
         res.check(f"sweep == brute on {trials} trials (m={m}, n <= {max_n})",
-                  report.passed, mismatches=len(report.mismatches))
+                  reports[m].passed, mismatches=len(reports[m].mismatches))
     return res
 
 
@@ -780,7 +776,7 @@ def dual_mode_agreement(instances: int = 200, *, seed: int = 0,
         if not (_reports_agree(exact_rep, float_rep, 1e-9) and prof_e == prof_f):
             report.mismatches.append({
                 "trial_id": i,
-                "alphas": [_num_to_json(f) for f in fracs],
+                "alphas": _num_to_json(fracs),
                 "n": n,
                 "exact_survivors": exact_rep.survivors,
                 "float_survivors": float_rep.survivors,

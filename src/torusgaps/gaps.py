@@ -98,8 +98,6 @@ def gap_spectrum(alpha: Real, n: int, *, epsilon: float = EPSILON,
     smallest point from 0, the n - 1 interior differences, and the headroom
     of the largest point below 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     points, unit = kronecker_points(*coerce_components([alpha]), n)
     return _assemble(points[:, 0], list(range(1, n + 1)), epsilon, circular, unit)
 

@@ -1,5 +1,7 @@
 """Shared numeric plumbing: dual-mode coercion, the integer lattice and the
-Kronecker instance on it, the one clustering rule, integer roots.
+Kronecker instance on it, the one size rule (``points_fit`` and
+``edges_fit``, checked before anything is allocated), the one clustering
+rule, integer roots.
 
 Every quantity in this package lives in one of two numeric modes:
 
@@ -69,6 +71,29 @@ def coerce_components(values: Sequence[Real]) -> tuple[list[Real], bool]:
     return out, False
 
 
+# The size rule: a call may use MEMORY_BUDGET bytes; a point coordinate (n m
+# of them) costs _POINT_BYTES, a brute-force edge coordinate (n(n - 1)/2 m)
+# _EDGE_BYTES: the largest tracemalloc peaks at n <= 10**5, rounded up.
+MEMORY_BUDGET = 2 ** 32
+_POINT_BYTES = 1024
+_EDGE_BYTES = 256
+
+
+def points_fit(n: int, m: int) -> bool:
+    """Whether n points on m axes fit the memory budget (safe for any n)."""
+    return n * m * _POINT_BYTES <= MEMORY_BUDGET
+
+
+def edges_fit(n: int, m: int) -> bool:
+    """Whether the brute force's n(n - 1)/2 edges on m axes fit the budget."""
+    return n < 2 or n * (n - 1) // 2 * m * _EDGE_BYTES <= MEMORY_BUDGET
+
+
+def too_large(n: int, m: int, what: str) -> ValueError:
+    return ValueError(f"n={n} is too large at m={m}: its {what} would exceed "
+                      f"the {MEMORY_BUDGET >> 30} GiB memory budget")
+
+
 # Lattice moduli below this keep every residue, 2L and differences of
 # residues inside int64; larger ones use object arrays of Python ints.
 _INT64_LATTICE = 2 ** 62
@@ -114,7 +139,11 @@ def kronecker_points(comps: list[Real], exact: bool,
                      n: int) -> tuple[np.ndarray, float | int]:
     """(points, unit): the (n, m) Kronecker points of k = 1..n for coerced
     components, floats in [0, 1) with unit 1.0, or lattice residues
-    k p_r mod L with unit L."""
+    k p_r mod L with unit L.  n must be >= 1 and pass the size rule."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not points_fit(n, len(comps)):
+        raise too_large(n, len(comps), "points")
     k = np.arange(1, n + 1)[:, None]
     if not exact:
         return frac_array(k * np.asarray(comps, dtype=float)[None, :]), 1.0
@@ -125,7 +154,9 @@ def kronecker_points(comps: list[Real], exact: bool,
 
 def kronecker_instance(alphas: Sequence[Real], n: int) -> Instance:
     """The Kronecker instance of k = 1..n: the one place a point set, its
-    keys and its lengths are built."""
+    keys and its lengths are built.  An instance needs an edge: n >= 2."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     comps, exact = coerce_components(alphas)
     P, unit = kronecker_points(comps, exact, n)
     if not exact:

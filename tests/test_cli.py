@@ -30,6 +30,15 @@ def test_gaps_exact_fraction(capsys):
     assert payload["distinct_gaps"] == ["1/3"]
 
 
+def test_gaps_json_writes_exact_zero_as_integer(capsys):
+    code, out, _ = run_cli(capsys, "gaps", "1/2", "4", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["points"] == ["0", "0", "1/2", "1/2"]
+    assert payload["gaps"] == ["0", "0", "1/2", "0", "1/2"]
+    assert payload["alpha"] == "1/2"
+
+
 def test_gaps_exact_flag_promotes_decimals(capsys):
     code, out, _ = run_cli(capsys, "gaps", "0.3", "3", "--exact",
                            "--format", "json")
@@ -71,6 +80,51 @@ def test_survivors_both_modes_agree(capsys):
     code, out, _ = run_cli(capsys, "survivors", "0.3", "3", "--mode", "both")
     assert code == 0
     assert "sweep and brute agree" in out
+
+
+def test_survivors_both_modes_csv_names_the_engine(capsys):
+    code, out, _ = run_cli(capsys, "survivors", "1/2,1/3", "7", "--mode", "both",
+                           "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "mode,index,length,witness_j,witness_k"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == ["sweep"] * 3 + ["brute"] * 3
+    assert [r[1:] for r in rows[:3]] == [r[1:] for r in rows[3:]]
+
+
+def test_brute_runs_past_the_old_cap(capsys):
+    code, out, _ = run_cli(capsys, "survivors", "0.3", "201", "--mode", "brute")
+    assert code == 0
+    assert "mode = brute" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["survivors", "0.3", "1000000000000"],
+    ["survivors", "0.3,0.2", "1000000000000", "--mode", "brute"],
+    ["gaps", "1/3", "1000000000000"],
+    ["denominators", "0.3,0.2", "1000000000000"],
+    ["verify", "planar", "--max-n", "1000000000000"],
+    # Past the m = 3 rules, within the m = 1 ones: refused before any trial.
+    ["verify", "lemmas", "--max-n", "1500000"],
+    ["verify", "oracle", "--max-n", "4000"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_too_large_n_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("torusgaps: ") and "too large" in err
+    assert "Traceback" not in err and not out
+
+
+def test_sweep_config_with_too_large_n_is_a_usage_error(capsys, tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"m": 2, "n_values": [10, 10 ** 12],
+                                    "alpha_source": {"kind": "uniform_random",
+                                                     "trials": 2}}))
+    code, out, err = run_cli(capsys, "sweep", str(cfg_path))
+    assert code == 1
+    assert err.startswith("torusgaps: config error:") and "n_values" in err
+    assert not out
 
 
 def test_survivors_assert_bound_m3(capsys):
@@ -258,6 +312,7 @@ def test_commands_take_only_the_flags_they_read(capsys, tmp_path):
     for argv in (["gaps", "0.3", "3", "--seed", "1"],
                  ["verify", "planar", "--exact"],
                  ["verify", "planar", "--oracle-cap", "5"],
+                 ["survivors", "0.3", "5", "--oracle-cap", "5"],
                  ["sweep", str(cfg_path), "--seed", "1"]):
         assert main(argv) == 1
 

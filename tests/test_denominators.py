@@ -18,8 +18,9 @@ from torusgaps.tournament import survivors_brute, survivors_sweep
 
 
 def table_of(alphas, n):
-    """The denominator table of rows q = 1..n that the profile reads."""
-    return _Table(kronecker_instance(alphas, n), EPSILON)
+    """The denominator table that the profile reads, with rows q = 1..n and
+    at least two (an instance needs an edge); row q does not depend on n."""
+    return _Table(kronecker_instance(alphas, max(n, 2)), EPSILON)
 
 
 def test_classify_mixed_signs():

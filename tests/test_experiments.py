@@ -31,13 +31,17 @@ def cfg_dict(**overrides):
 
 
 def test_config_round_trip():
-    cfg = config_from_dict(cfg_dict(epsilon=1e-8, oracle_cap=40,
-                                    output={"trials_csv": "x.csv"}))
+    cfg = config_from_dict(cfg_dict(epsilon=1e-8, output={"trials_csv": "x.csv"}))
     assert cfg.m == 2
     assert cfg.epsilon == 1e-8
-    assert cfg.oracle_cap == 40
     assert cfg.output.trials_csv == "x.csv"
     assert cfg.to_dict()["alpha_source"]["kind"] == "uniform_random"
+    assert config_from_dict(cfg.to_dict()) == cfg
+    # An exact integer alpha is written "1", not "1/1", and reads back.
+    exact = config_from_dict(cfg_dict(m=1, alpha_source={"kind": "explicit",
+                                                         "alphas": [["1"], ["2/7"]]}))
+    assert exact.to_dict()["alpha_source"]["alphas"] == [["1"], ["2/7"]]
+    assert config_from_dict(exact.to_dict()) == exact
 
 
 @pytest.mark.parametrize("mutation, expected_key", [
@@ -45,7 +49,7 @@ def test_config_round_trip():
     ({"n_values": []}, "n_values"),
     ({"n_values": [1]}, "n_values"),
     ({"epsilon": -1.0}, "epsilon"),
-    ({"oracle_cap": 1}, "oracle_cap"),
+    ({"n_values": [8, 10 ** 12]}, "n_values"),  # breaks the size rule
     ({"seed": "x"}, "seed"),
     ({"output": {"bogus": 1}}, "output"),
     ({"epsilon": float("nan")}, "epsilon"),
@@ -73,6 +77,9 @@ def test_config_rejects_unknown_and_missing_keys():
     with pytest.raises(ConfigError) as err:
         config_from_dict(cfg_dict(bogus=1))
     assert err.value.offending == ["bogus"]
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(cfg_dict(oracle_cap=200))  # the brute force has no cap
+    assert err.value.offending == ["oracle_cap"]
     with pytest.raises(ConfigError) as err:
         config_from_dict({"m": 2})
     assert "alpha_source" in err.value.offending
@@ -216,13 +223,15 @@ def test_run_sweep_is_byte_deterministic():
     assert run_sweep(cfg_a).to_json() == run_sweep(cfg_b).to_json()
 
 
-def test_cross_check_passes_and_validates_cap():
+def test_cross_check_passes_and_validates_edge_rule():
     cfg = config_from_dict(cfg_dict())
     report = cross_check(cfg)
     assert report.passed
     assert report.trials == 6
-    with pytest.raises(ConfigError):
-        cross_check(config_from_dict(cfg_dict(n_values=[100], oracle_cap=80)))
+    # 10**5 points fit; their brute-force edges do not.
+    with pytest.raises(ConfigError) as err:
+        cross_check(config_from_dict(cfg_dict(n_values=[8, 10 ** 5])))
+    assert err.value.offending == ["n_values"]
 
 
 def test_explicit_source_runs_exact_instances():

@@ -9,8 +9,10 @@ import pytest
 
 from reference import circle_norm, geodesic, reference_survivors
 from torusgaps import tournament
-from torusgaps.gaps import _assemble
-from torusgaps.numerics import Instance, clusters, coerce_components, kronecker_instance
+from torusgaps.denominators import approximation_profile
+from torusgaps.gaps import _assemble, gap_spectrum
+from torusgaps.numerics import (Instance, clusters, coerce_components, edges_fit,
+                                kronecker_instance, points_fit)
 from torusgaps.tournament import (
     _axis_components,
     _brute,
@@ -93,10 +95,46 @@ def test_build_edges_zero_length_edge():
                 (1, 2): 0.5, (1, 3): 0.0, (2, 3): 0.5}
 
 
-def test_oracle_cap_enforced():
-    with pytest.raises(ValueError):
-        survivors_brute([0.3], 201)
-    survivors_brute([0.3], 201, oracle_cap=250)  # explicit override works
+def first_unfit(fit, m):
+    """The smallest n that breaks a size rule at m, found by bisection on
+    the rule itself, so nothing is allocated."""
+    lo, hi = 1, 2
+    while fit(hi, m):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fit(mid, m) else (lo, mid)
+    return hi
+
+
+def test_brute_edge_rule_replaces_the_cap():
+    # n = 201 was past the brute force's old fixed cap of 200.
+    assert survivors_brute([0.3], 201).survivors == survivors_sweep([0.3], 201).survivors
+    # The edge rule stops the brute force where its points still fit.
+    for m in (1, 2, 3):
+        n = first_unfit(edges_fit, m)
+        assert edges_fit(n - 1, m) and points_fit(n, m)
+        assert first_unfit(points_fit, m) > 10 ** 6
+
+
+@pytest.mark.parametrize("call", [
+    lambda: survivors_sweep([0.3, 0.2, 0.1], 10 ** 12),
+    lambda: survivors_sweep([Fraction(1, 3), Fraction(2, 7)], 10 ** 12),
+    lambda: approximation_profile([0.3, 0.2], 10 ** 12),
+    lambda: gap_spectrum(0.3, 10 ** 12),
+    lambda: gap_spectrum(Fraction(1, 3), 10 ** 12),
+    lambda: survivors_brute([0.3], first_unfit(edges_fit, 1)),
+    lambda: survivors_brute([0.3, 0.2, 0.1], first_unfit(edges_fit, 3)),
+], ids=["sweep", "sweep_exact", "profile", "gaps", "gaps_exact", "brute_m1", "brute_m3"])
+def test_size_rule_refuses_before_allocating(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_report_metadata():
@@ -447,7 +485,7 @@ def test_brute_memory_stays_bounded():
     alphas = np.random.default_rng(5).random(3).tolist()
     tracemalloc.start()
     try:
-        report = survivors_brute(alphas, 200, oracle_cap=200)
+        report = survivors_brute(alphas, 200)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
