@@ -1,7 +1,8 @@
 """Shared numeric plumbing: dual-mode coercion, the integer lattice and the
 Kronecker instance on it, the one size rule (``points_fit`` and
-``edges_fit``, checked before anything is allocated), the one clustering
-rule, integer roots.
+``edges_fit``, checked before anything is allocated, and
+``survivors_fit``, checked as the sweep finds survivors), the one
+clustering rule, integer roots.
 
 Every quantity in this package lives in one of two numeric modes:
 
@@ -73,10 +74,12 @@ def coerce_components(values: Sequence[Real]) -> tuple[list[Real], bool]:
 
 # The size rule: a call may use MEMORY_BUDGET bytes; a point coordinate (n m
 # of them) costs _POINT_BYTES, a brute-force edge coordinate (n(n - 1)/2 m)
-# _EDGE_BYTES: the largest tracemalloc peaks at n <= 10**5, rounded up.
+# _EDGE_BYTES, and a survivor the sweep reports _SURVIVOR_BYTES: the largest
+# tracemalloc peaks measured, rounded up.
 MEMORY_BUDGET = 2 ** 32
 _POINT_BYTES = 1024
 _EDGE_BYTES = 256
+_SURVIVOR_BYTES = 256
 
 
 def points_fit(n: int, m: int) -> bool:
@@ -87,6 +90,12 @@ def points_fit(n: int, m: int) -> bool:
 def edges_fit(n: int, m: int) -> bool:
     """Whether the brute force's n(n - 1)/2 edges on m axes fit the budget."""
     return n < 2 or n * (n - 1) // 2 * m * _EDGE_BYTES <= MEMORY_BUDGET
+
+
+def survivors_fit(count: int) -> bool:
+    """Whether a report of ``count`` undefeated edges fits the budget.  The
+    sweep checks its running count, since only the sweep finds it."""
+    return count * _SURVIVOR_BYTES <= MEMORY_BUDGET
 
 
 def too_large(n: int, m: int, what: str) -> ValueError:

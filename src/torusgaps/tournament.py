@@ -13,11 +13,13 @@ Two independent engines compute S:
 * ``survivors_sweep`` processes edges in ascending length groups and tests
   each edge's per-axis arcs against the union of all strictly shorter
   arcs.  "Some shorter edge overlaps on some axis" distributes over the
-  union, so one coverage structure per axis replaces all pairwise tests.
-  Every arc part runs between two of a few values per point, so the
-  coverage lives in rank space: each axis's part ends are sorted once, a
-  part is a range of the cells between them, and the union is a set of
-  cells.
+  union, so one coverage of the axes replaces all pairwise tests.  Every
+  arc part runs between two of a few values per point, so the coverage
+  lives in rank space: each axis's part ends are sorted once, a part is a
+  range of the cells between them, and the union is a set of cells.  The
+  axes' cells are laid end to end in one rank space, so each q's edges
+  are judged on every axis by one query and each group's arcs enter by
+  one insert.
 * ``survivors_brute`` applies the defeat relation pairwise and serves as
   the oracle for the sweep.  It lays out all edges in (group, q, j) order,
   so an edge's possible defeaters are the prefix below its group, and
@@ -53,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (EPSILON, Instance, ceil_sqrt, clusters, edges_fit,
-                       kronecker_instance, too_large)
+                       kronecker_instance, survivors_fit, too_large)
 
 __all__ = [
     "SurvivorReport",
@@ -147,63 +149,77 @@ def _assemble_report(inst: Instance, gid: np.ndarray, qi: np.ndarray, j: np.ndar
 # ---------------------------------------------------------------------------
 
 class _Cells:
-    """The coverage of one axis, held in rank space.
+    """The coverage of all m axes, held in one rank space.
 
     Every arc part is shrunk by ``shrink`` at both ends (see the module
-    notes), so each runs between two of the values x + shrink and
-    x - shrink (x a point of the axis), shrink and unit - shrink.  Sorted
-    once and deduplicated, these values cut the circle into cells of
-    positive width, and a part is the range of cells between the ranks of
-    its ends: two half-open parts intersect exactly when they share a cell,
-    so rank space decides what the coordinates decide.  Only the cells in
-    [shrink, unit - shrink) are *live*; no part reaches the others.
-    ``covered`` marks the cells of the arcs inserted so far and ``prefix``
-    counts them, so a query is one prefix-sum difference.
+    notes), so on each axis it runs between two of the values x + shrink
+    and x - shrink (x a point of the axis), shrink and unit - shrink.
+    Sorted once per axis and deduplicated, these values cut each circle
+    into cells of positive width, and a part is the range of cells between
+    the ranks of its ends: two half-open parts intersect exactly when they
+    share a cell, so rank space decides what the coordinates decide.  The
+    axes' cells are laid end to end, axis r's ranks offset by the number of
+    cells on the axes before it, so one ``covered`` and one ``prefix`` hold
+    every axis.  On axis r only the cells in [``first[r]``, ``last[r]``),
+    those in [shrink, unit - shrink), are *live*; no part reaches the
+    others.  ``covered`` marks the cells of the arcs inserted so far,
+    ``prefix`` counts them and ``total`` holds each axis's count, so a
+    query is one prefix-sum difference.
 
-    An arc is (lo, hi, wrap), as ``_arcs`` builds it.  A plain arc is the
-    cells [lo, hi), empty when hi <= lo; a wrapped one is every live cell
-    outside [lo, hi)."""
+    Arcs are (lo, hi, wrap) arrays whose rows are the axes, as ``_arcs``
+    builds them.  A plain arc is the cells [lo, hi) (empty when hi = lo); a
+    wrapped one is the live cells of its axis outside [lo, hi)."""
 
-    __slots__ = ("live", "covered", "prefix")
+    __slots__ = ("covered", "prefix", "first", "last", "total")
 
-    def __init__(self, cells: int, first: int, last: int) -> None:
-        self.live = np.zeros(cells, dtype=bool)
-        self.live[first:last] = True
+    def __init__(self, cells: int, first: np.ndarray, last: np.ndarray) -> None:
         self.covered = np.zeros(cells, dtype=bool)
         self.prefix = np.zeros(cells + 1, dtype=np.int64)
+        self.first, self.last = first, last
+        self.total = np.zeros((len(first), 1), dtype=np.int64)
 
     def query(self, lo: np.ndarray, hi: np.ndarray, wrap: np.ndarray) -> np.ndarray:
-        """Whether each arc holds a covered cell."""
+        """Whether each arc holds a covered cell: a plain arc when it counts
+        any, a wrapped one when it counts fewer than its whole axis."""
         inside = self.prefix[hi] - self.prefix[lo]
-        return np.where(wrap, self.prefix[-1] - inside, inside) > 0
+        return inside != np.where(wrap, self.total, 0)
 
     def insert(self, lo: np.ndarray, hi: np.ndarray, wrap: np.ndarray) -> None:
-        """Cover the cells of all the arcs at once, through one
-        difference array: +1 at the start of each range and -1 at its end,
-        where a wrapped arc is every cell less [lo, hi)."""
+        """Cover the cells of all the arcs at once, through one difference
+        array: +1 at the start of each range and -1 at its end.  A wrapped
+        arc is the range [first, last) of its axis less [lo, hi), which
+        leaves a depth <= 0 on the cells that are not live."""
         size = len(self.prefix)  # ranks run up to the cell count
-        hi = np.maximum(lo, hi)  # a plain arc whose shrunk ends cross is empty
-        sign = np.where(wrap, -1, 1)
-        depth = np.cumsum(np.bincount(lo, sign, size) - np.bincount(hi, sign, size))[:-1]
-        self.covered |= (depth + np.count_nonzero(wrap) > 0) & self.live
+        sign = np.where(wrap, -1, 1).ravel()
+        depth = np.bincount(lo.ravel(), sign, size) - np.bincount(hi.ravel(), sign, size)
+        wrapped = wrap.sum(axis=1)
+        depth[self.first] += wrapped
+        depth[self.last] -= wrapped
+        self.covered |= np.cumsum(depth)[:-1] > 0
         np.cumsum(self.covered, out=self.prefix[1:])
+        self.total = (self.prefix[self.last] - self.prefix[self.first])[:, None]
 
 
 def _rank_space(X: np.ndarray, unit, shrink):
-    """(S, E, axes) of the (axis, point) coordinates X: the ranks of
-    x + shrink and x - shrink among the cell ends of each axis, as two int64
-    arrays shaped like X, and each axis's empty ``_Cells``."""
+    """(S, E, cells) of the (axis, point) coordinates X: the ranks of
+    x + shrink and x - shrink among the cell ends of each axis, offset by
+    the cells of the axes before it, as two int64 arrays shaped like X, and
+    the empty ``_Cells`` of all the axes."""
     m, n = X.shape
     S = np.empty((m, n), dtype=np.int64)
     E = np.empty((m, n), dtype=np.int64)
-    axes = []
+    first = np.empty(m, dtype=np.int64)
+    last = np.empty(m, dtype=np.int64)
     rim = np.array([shrink, unit - shrink], dtype=X.dtype)
+    cells = 0
     for r, x in enumerate(X):
         ends, rank = np.unique(np.concatenate([x + shrink, x - shrink, rim]),
                                return_inverse=True)
+        rank += cells
         S[r], E[r] = rank[:n], rank[n:2 * n]
-        axes.append(_Cells(len(ends) - 1, rank[-2], rank[-1]))
-    return S, E, axes
+        first[r], last[r] = rank[-2], rank[-1]
+        cells += len(ends) - 1
+    return S, E, _Cells(cells, first, last)
 
 
 def _arcs(X, S, E, j, k, unit):
@@ -211,13 +227,14 @@ def _arcs(X, S, E, j, k, unit):
     slices along the last axis of X, S and E).  An arc wraps when it spans
     more than half the circle.  Ranks keep the order of the points, so the
     lower point's shrunk ends have the smaller ranks: a plain arc runs from
-    the lower point's start to the upper one's end, and a wrapped arc
-    leaves out [lower end, upper start)."""
+    the lower point's start to the upper one's end (hi = lo when those
+    cross, an empty arc), and a wrapped arc leaves out [lower end, upper
+    start)."""
     wrap = 2 * np.abs(X[..., j] - X[..., k]) > unit
     sj, sk, ej, ek = S[..., j], S[..., k], E[..., j], E[..., k]
     lo = np.where(wrap, np.minimum(ej, ek), np.minimum(sj, sk))
     hi = np.where(wrap, np.maximum(sj, sk), np.maximum(ej, ek))
-    return lo, hi, wrap
+    return lo, np.maximum(lo, hi), wrap
 
 
 def _axis_components(pj: np.ndarray, pk: np.ndarray, unit, shrink):
@@ -263,30 +280,31 @@ def _judging(inst: Instance, epsilon: float):
 
 def _sweep(inst: Instance, epsilon: float) -> SurvivorReport:
     """Each q's arcs are built once for all axes, as (m, n - q) rank ranges
-    (axis, edge), and each axis takes one query.  Once every edge of q is
-    defeated, its remaining axes go unqueried; its arcs on all axes still
-    enter the coverages with the group, so later groups meet the same
-    coverages either way."""
+    (axis, edge), and take one query: an edge is defeated when its arc on
+    some axis holds a covered cell.  Each tie group's arcs enter the
+    coverage with one insert.  The survivors kept so far are checked
+    against ``numerics.survivors_fit`` as they are found, so a report that
+    would not fit in memory is refused before it is built."""
     P, n, unit, shrink, groups = _judging(inst, epsilon)
     X = np.ascontiguousarray(P.T)  # (axis, point)
-    S, E, axes = _rank_space(X, unit, shrink)
+    S, E, cells = _rank_space(X, unit, shrink)
     alive: list[tuple[int, int, np.ndarray]] = []  # (group, q - 1, 0-based j's)
+    kept = 0
     for gid, group in enumerate(groups):
         pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for qi in group:
             q = qi + 1
-            cnt = n - q
-            lo, hi, wrap = _arcs(X, S, E, slice(0, cnt), slice(q, n), unit)
-            pending.append((lo, hi, wrap))
-            defeated = np.zeros(cnt, dtype=bool)
-            for r, axis in enumerate(axes):
-                if r and defeated.all():
-                    break  # settled; its arcs on every axis still go in below
-                defeated |= axis.query(lo[r], hi[r], wrap[r])
-            if not defeated.all():
-                alive.append((gid, qi, np.flatnonzero(~defeated)))
-        for r, axis in enumerate(axes):
-            axis.insert(*(np.concatenate([arc[r] for arc in part]) for part in zip(*pending)))
+            arcs = _arcs(X, S, E, slice(0, n - q), slice(q, n), unit)
+            pending.append(arcs)
+            undefeated = np.flatnonzero(~cells.query(*arcs).any(axis=0))
+            if len(undefeated):
+                alive.append((gid, qi, undefeated))
+                kept += len(undefeated)
+                if not survivors_fit(kept):
+                    raise too_large(n, len(X), "survivors")
+        if len(pending) > 1:  # a group of one q inserts the arcs it was judged on
+            arcs = tuple(np.concatenate(part, axis=1) for part in zip(*pending))
+        cells.insert(*arcs)
     gid, qi, js = zip(*alive)  # the shortest group is never defeated
     counts = [len(j) for j in js]
     return _assemble_report(inst, np.repeat(gid, counts), np.repeat(qi, counts),
@@ -370,7 +388,10 @@ def survivors_brute(alphas, n: int, *, epsilon: float = EPSILON) -> SurvivorRepo
     defeats it, which is usually the first; only the survivors scan all
     shorter edges.  ``numerics.edges_fit`` bounds n before anything is
     allocated: memory, not time, which grows with the square of the edge
-    count for the survivors (n = 800 peaks at 35, 55 and 64 MiB, m = 1, 2, 3)."""
+    count for the survivors (n = 800 peaks at 35, 55 and 64 MiB, m = 1, 2, 3).
+    It bounds the report too: the survivors are some of the edges, and an
+    edge is charged at least what ``numerics.survivors_fit`` charges a
+    survivor, so the sweep's running check is not needed here."""
     if not edges_fit(n, len(alphas)):
         raise too_large(n, len(alphas), "brute-force edges")
     return _brute(kronecker_instance(alphas, n), epsilon)

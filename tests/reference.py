@@ -195,3 +195,34 @@ def exhaustive_profile(alphas, n, eps=1e-9):
     return {"q1": q1, "q1_length": length, "primary": primary, "q1_perp": pool,
             "q2": q2, "q2_strict": q2_strict, "secondary": secondary,
             "undercut": undercut, "max_key": max(key.values())}
+
+
+def three_gap_closed_form(alpha: Real, n: int) -> dict[Fraction, int]:
+    """The n circular gaps of {k alpha}, k = 1..n, as {gap: multiplicity},
+    from the explicit three distance theorem of P. Alessandri and
+    V. Berthé ("Three distance theorems and combinatorics on words",
+    Enseign. Math. 44, 1998).
+
+    With q_k the convergent denominators of alpha and eta_k = |q_k alpha -
+    p_k| (q_{-1} = 0, eta_{-1} = 1), take the k with q_k + q_{k-1} <= n <
+    q_{k+1} + q_k and write n - q_{k-1} = r q_k + s, 0 <= s < q_k.  The
+    gaps are then n - q_k of eta_k, s of eta_{k-1} - r eta_k and q_k - s of
+    eta_{k-1} - (r - 1) eta_k.  Exact: a float is read as its dyadic value.
+    The points must be distinct, so a rational's denominator must exceed n.
+    """
+    x = Fraction(alpha) % 1
+    if x.denominator <= n:
+        raise ValueError("the points of a rational with denominator <= n coincide")
+    q_prev, q, eta_prev, eta = 0, 1, Fraction(1), x
+    while True:
+        a = eta_prev // eta  # the next partial quotient
+        if n < a * q + q_prev + q:
+            break
+        q_prev, q, eta_prev, eta = q, a * q + q_prev, eta, eta_prev - a * eta
+    r, s = divmod(n - q_prev, q)
+    gaps: dict[Fraction, int] = {}
+    for gap, count in ((eta, n - q), (eta_prev - r * eta, s),
+                       (eta_prev - (r - 1) * eta, q - s)):
+        if count:
+            gaps[gap] = gaps.get(gap, 0) + count
+    return gaps

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from torusgaps import numerics
 from torusgaps.cli import main
 
 
@@ -114,6 +115,18 @@ def test_too_large_n_is_a_usage_error(capsys, argv):
     assert code == 1
     assert err.startswith("torusgaps: ") and "too large" in err
     assert "Traceback" not in err and not out
+
+
+def test_too_many_survivors_is_a_usage_error(capsys, monkeypatch):
+    # At a = 1/2 every edge survives; under a 1 MiB budget the points of
+    # n = 400 fit but its 79,800 survivors do not.
+    monkeypatch.setattr(numerics, "MEMORY_BUDGET", 2 ** 20)
+    code, out, err = run_cli(capsys, "survivors", "1/2", "400")
+    assert code == 1
+    assert err.startswith("torusgaps: ") and "survivors would exceed" in err
+    assert "Traceback" not in err and not out
+    code, out, _ = run_cli(capsys, "survivors", "0.3819660112501051", "400")
+    assert code == 0 and "mode = sweep" in out
 
 
 def test_sweep_config_with_too_large_n_is_a_usage_error(capsys, tmp_path):

@@ -1,8 +1,9 @@
-"""The sweep's per-axis coverage in rank space (``_Cells``, ``_rank_space``,
+"""The sweep's coverage in rank space (``_Cells``, ``_rank_space``,
 ``_arcs``), judged against a naive model that reads the defeat relation in
 coordinates: every arc part shrunk by ``shrink`` at both ends, and two arcs
 overlap when some pair of their shrunk half-open parts intersects.  The
-model runs in each element type the engines use."""
+model runs in each element type the engines use, on one axis and on
+several axes held in one rank space."""
 
 import random
 from fractions import Fraction
@@ -29,19 +30,20 @@ KINDS = {
 
 
 class Axis:
-    """One axis's coverage and the arcs between its points."""
+    """The coverage of one axis, alone in its rank space, and the arcs
+    between its points as (1, len(pairs)) arrays."""
 
     def __init__(self, x, unit, shrink):
         self.x, self.unit, self.shrink = x, unit, shrink
-        self.S, self.E, (self.cells,) = _rank_space(x[None, :], unit, shrink)
+        self.S, self.E, self.cells = _rank_space(x[None, :], unit, shrink)
 
     def arcs(self, pairs):
         j = np.array([a for a, _ in pairs], dtype=np.int64)
         k = np.array([b for _, b in pairs], dtype=np.int64)
-        return _arcs(self.x, self.S[0], self.E[0], j, k, self.unit)
+        return _arcs(self.x[None, :], self.S, self.E, j, k, self.unit)
 
     def query(self, pairs):
-        return self.cells.query(*self.arcs(pairs)).tolist()
+        return self.cells.query(*self.arcs(pairs))[0].tolist()
 
     def insert(self, pairs):
         self.cells.insert(*self.arcs(pairs))
@@ -158,7 +160,7 @@ def test_wrapped_and_plain_ranges():
         ax = axis([20, 2, 60, 30], kind)
         arcs = [(2, 1), (0, 3), (1, 3), (2, 0)]
         _, _, wrap = ax.arcs(arcs)
-        assert wrap.tolist() == [True, False, False, True]
+        assert wrap[0].tolist() == [True, False, False, True]
         ax.insert([(2, 1)])
         assert ax.query(arcs) == [True, False, False, True]
         ax.insert([(0, 3)])
@@ -229,18 +231,28 @@ def test_works_with_fraction_endpoints():
 
 
 def test_two_row_query_equals_the_row_queries():
-    # A query is elementwise: a (2, k) batch reads each row as its own 1-D
-    # query, from empty coverage on.
+    # Two axes in one rank space: each row of a (2, k) query reads its own
+    # axis, offset past the first axis's cells, and answers what that axis
+    # alone in its own rank space answers, from empty coverage on.
     rng = random.Random(1313)
     for kind in KINDS:
-        ax = axis([rng.randrange(GRID) for _ in range(25)], kind)
+        dtype, scale, unit, shrink = KINDS[kind]
+        alone = [axis([rng.randrange(GRID) for _ in range(25)], kind) for _ in range(2)]
+        X = np.stack([ax.x for ax in alone])
+        S, E, cells = _rank_space(X, unit, shrink)
+        offset = len(alone[0].cells.covered)
+        assert (S[1] - offset).tolist() == alone[1].S[0].tolist()
+        assert (E[1] - offset).tolist() == alone[1].E[0].tolist()
         for _ in range(12):
             k = rng.randrange(12)
-            rows = [ax.arcs([(rng.randrange(25), rng.randrange(25)) for _ in range(k)])
-                    for _ in range(2)]
-            lo, hi, wrap = (np.array([r[i] for r in rows]) for i in range(3))
-            got = ax.cells.query(lo, hi, wrap)
+            j = np.array([rng.randrange(25) for _ in range(k)], dtype=np.int64)
+            i = np.array([rng.randrange(25) for _ in range(k)], dtype=np.int64)
+            arcs = _arcs(X, S, E, j, i, unit)
+            assert arcs[0].shape == (2, k)
+            got = cells.query(*arcs)
             assert got.shape == (2, k)
-            assert got.tolist() == [ax.cells.query(*rows[0]).tolist(),
-                                    ax.cells.query(*rows[1]).tolist()]
-            ax.cells.insert(lo.ravel(), hi.ravel(), wrap.ravel())
+            assert got.tolist() == [ax.query(list(zip(j, i))) for ax in alone]
+            cells.insert(*arcs)
+            for ax in alone:
+                ax.insert(list(zip(j, i)))
+            assert cells.covered.tolist() == sum((ax.cells.covered.tolist() for ax in alone), [])

@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import three_gap_closed_form
 from torusgaps.gaps import chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
 from torusgaps.numerics import kronecker_instance
 
@@ -209,3 +212,55 @@ def test_three_gap_bound_random_smoke():
         assert spec.distinct_count <= 3
         assert sum(spec.gaps) == pytest.approx(1.0, abs=1e-12)
         assert sorted(spec.labels) == list(range(1, n + 1))
+
+
+# Generators for the closed-form check: floats (read exactly, as their dyadic
+# values) and rationals whose denominators exceed every n checked, one of
+# them on a lattice past int64.
+THREE_GAP_ALPHAS = [
+    (math.sqrt(5.0) - 1.0) / 2.0,
+    math.sqrt(2.0) - 1.0,
+    math.e - 2.0,
+    0.0123456789,
+    Fraction(271_828, 1_000_003),
+    Fraction(99_991, 199_999),
+    Fraction(2 ** 64 - 59, 2 ** 65 + 13),
+]
+
+
+@pytest.mark.parametrize("alpha", THREE_GAP_ALPHAS, ids=str)
+def test_gap_spectrum_matches_three_gap_closed_form(alpha):
+    # The whole multiset of circular gaps, up to n = 10**5: exactly on the
+    # lattice, within float rounding otherwise.
+    for n in (1, 2, 3, 5, 8, 13, 100, 1000, 10 ** 5):
+        spec = gap_spectrum(alpha, n, circular=True)
+        want = three_gap_closed_form(alpha, n)
+        if spec.exact:
+            assert Counter(spec.gaps) == want
+            assert spec.distinct_gaps == sorted(want)
+        else:
+            expanded = sorted(float(g) for g, count in want.items() for _ in range(count))
+            assert np.allclose(sorted(spec.gaps), expanded, rtol=0, atol=1e-9)
+            assert spec.distinct_gaps == pytest.approx(sorted(map(float, want)), abs=1e-9)
+
+
+def test_gap_spectrum_matches_three_gap_closed_form_randomized():
+    # Small n, where the convergent that decides the form changes often.
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randrange(1, 300)
+        d = rng.randrange(n + 1, 5000)
+        alpha = Fraction(rng.randrange(1, 3 * d), d)
+        if alpha.denominator > n:
+            assert Counter(gap_spectrum(alpha, n, circular=True).gaps) == \
+                three_gap_closed_form(alpha, n)
+        x = rng.random()
+        want = three_gap_closed_form(x, n)
+        got = sorted(gap_spectrum(x, n, circular=True).gaps)
+        expanded = sorted(float(g) for g, count in want.items() for _ in range(count))
+        assert np.allclose(got, expanded, rtol=0, atol=1e-9)
+
+
+def test_three_gap_closed_form_refuses_coincident_points():
+    with pytest.raises(ValueError):
+        three_gap_closed_form(Fraction(3, 7), 7)

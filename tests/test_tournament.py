@@ -7,12 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reference import circle_norm, geodesic, reference_survivors
+from reference import circle_norm, geodesic, reference_survivors, three_gap_closed_form
 from torusgaps import tournament
 from torusgaps.denominators import approximation_profile
 from torusgaps.gaps import _assemble, gap_spectrum
+from torusgaps import numerics
 from torusgaps.numerics import (Instance, clusters, coerce_components, edges_fit,
-                                kronecker_instance, points_fit)
+                                kronecker_instance, points_fit, survivors_fit)
 from torusgaps.tournament import (
     _axis_components,
     _brute,
@@ -135,6 +136,46 @@ def test_size_rule_refuses_before_allocating(call):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_survivor_rule_bounds_the_report(monkeypatch):
+    # At a = 1/2 every edge survives: n = 400 keeps 79,800 survivors, about
+    # 20 MB at the rule's charge, while a generic float keeps about n.
+    # Under a 1 MiB budget the points of n = 400 fit, the float's report
+    # fits, and the sweep refuses a = 1/2 as its survivors pass the budget,
+    # before it builds the report.
+    monkeypatch.setattr(numerics, "MEMORY_BUDGET", 2 ** 20)
+    assert points_fit(400, 1)
+    report = survivors_sweep([GOLDEN], 400)
+    assert survivors_fit(report.survivor_count)
+    for half in (Fraction(1, 2), 0.5):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n=400 is too large at m=1: its survivors"):
+                survivors_sweep([half], 400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+    monkeypatch.undo()
+    assert survivors_sweep([Fraction(1, 2)], 400).survivor_count == 79_800
+
+
+@pytest.mark.parametrize("alpha", [math.e - 2.0, Fraction(4813, 7919)], ids=str)
+def test_sweep_matches_three_gap_closed_form_past_the_brute_force(alpha):
+    # On the circle S is the set of distinct circular gaps <= 1/2 (the
+    # three distance theorem), which the closed form gives at any n; n =
+    # 6000 is past the brute force's edge rule.  The rational's denominator
+    # exceeds n, so its points are distinct.
+    n = 6000
+    assert not edges_fit(n, 1)
+    report = survivors_sweep([alpha], n)
+    want = sorted(g for g in three_gap_closed_form(alpha, n) if 2 * g <= 1)
+    if report.exact:
+        assert sorted({circle_norm((k - j) * alpha) for j, k in report.survivors}) == want
+    else:
+        assert report.distinct_lengths == pytest.approx([float(g) for g in want],
+                                                        rel=0, abs=1e-9)
 
 
 def test_report_metadata():
@@ -493,11 +534,11 @@ def test_brute_memory_stays_bounded():
     assert peak < 16 * 2 ** 20
 
 
-# Instances where every edge of some q is defeated before its last axis, so
-# the sweep queries no further axis for that q.  Its arcs on those axes still
-# enter the coverages, and on all but "quarter_half" they defeat edges of
-# later groups that no other axis reaches.  The rational cases and
-# "quarter_half" have tie groups of several q; "object_m3" has L > 2**62.
+# Instances where every edge of some q is defeated before its last axis.  Its
+# arcs on the later axes still enter the coverage, and on all but
+# "quarter_half" they defeat edges of later groups that no other axis
+# reaches.  The rational cases and "quarter_half" have tie groups of several
+# q; "object_m3" has L > 2**62.
 SETTLED_CASES = {
     "float_m2": ([0.4, 0.13], 13),
     "float_m3": ([0.07, 0.92, 0.43], 15),
@@ -510,22 +551,31 @@ SETTLED_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(SETTLED_CASES))
-def test_settled_q_skips_queries_not_inserts(case, monkeypatch):
+def test_one_query_per_q_and_one_insert_per_group(case, monkeypatch):
     alphas, n = SETTLED_CASES[case]
-    shapes = []
-    query = tournament._Cells.query
+    m = len(alphas)
+    queries, inserts = [], []
+    query, insert = tournament._Cells.query, tournament._Cells.insert
 
-    def counted(cells, lo, hi, wrap):
-        shapes.append(lo.shape)
+    def counted_query(cells, lo, hi, wrap):
+        queries.append(lo.shape)
         return query(cells, lo, hi, wrap)
 
-    monkeypatch.setattr(tournament._Cells, "query", counted)
+    def counted_insert(cells, lo, hi, wrap):
+        inserts.append(lo.shape)
+        insert(cells, lo, hi, wrap)
+
+    monkeypatch.setattr(tournament._Cells, "query", counted_query)
+    monkeypatch.setattr(tournament._Cells, "insert", counted_insert)
     swept = survivors_sweep(alphas, n)
     monkeypatch.undo()
-    # One query per queried axis of a q, all its edges at once: every q is
-    # queried on its first axis, and some skip a later one.
-    assert all(len(shape) == 1 for shape in shapes)
-    assert n - 1 <= len(shapes) < len(alphas) * (n - 1)
+    # Each q is judged on all its axes by one query of its (m, n - q) arcs,
+    # and each tie group enters the coverage by one insert of all its arcs.
+    groups = _judging(kronecker_instance(alphas, n), 1e-9)[-1]
+    assert queries == [(m, n - 1 - qi) for group in groups for qi in group]
+    assert inserts == [(m, sum(n - 1 - qi for qi in group)) for group in groups]
+    several = case.startswith(("rational", "quarter"))
+    assert any(len(group) > 1 for group in groups) == several
     assert swept.survivors == survivors_brute(alphas, n).survivors
     assert swept.survivors == reference_survivors(alphas, n)
 
