@@ -155,7 +155,7 @@ class _Table:
 
     def distinct(self, qs: np.ndarray) -> int:
         """Number of length clusters among the given q."""
-        return len(clusters(self.keys[qs - 1].tolist(), self.tol))
+        return len(clusters(self.keys[qs - 1], self.tol)[1]) - 1
 
 
 @dataclass

@@ -81,9 +81,11 @@ def _assemble(points: np.ndarray, labels: list, epsilon: float,
         gaps[0] = pts[0]
         gaps[1:-1] = np.diff(pts)
         gaps[-1] = unit - pts[-1]
-    pts, gaps = pts.tolist(), gaps.tolist()
     tol = 0 if exact else epsilon
-    distinct = [gaps[c[0]] for c in clusters(gaps, tol) if gaps[c[0]] > tol]
+    order, starts = clusters(gaps, tol)
+    distinct = gaps[order[starts[:-1]]]  # each cluster's minimum
+    distinct = distinct[distinct > tol].tolist()
+    pts, gaps = pts.tolist(), gaps.tolist()
     if exact:
         pts, gaps, distinct = ([Fraction(x, unit) for x in xs]
                                for xs in (pts, gaps, distinct))

@@ -21,7 +21,7 @@ rendering read these instead of repeating the formula.
 
 ``clusters`` is the package's only grouping rule for values that compare
 equal at the working tolerance: survivor length groups, distinct gaps and
-distinct denominator lengths all go through it.
+distinct denominator lengths all slice its ``(order, starts)`` arrays.
 """
 
 from __future__ import annotations
@@ -193,20 +193,18 @@ def ceil_sqrt(n: int) -> int:
     return s if s * s == n else s + 1
 
 
-def clusters(values: list, tol) -> list[list[int]]:
-    """Single-linkage clusters of ``values`` as lists of indices.
-
-    The values are sorted ascending and a new cluster starts wherever the
-    step from the previous value exceeds ``tol`` (0 in exact mode, so only
-    equal values share a cluster).  Clusters come back ascending, each in
-    value order with ties by index, so ``values[c[0]]`` is the cluster
-    minimum.  A chain of steps within ``tol`` is one cluster even when its
-    ends lie further apart.  Sorted in Python: numpy would turn exact keys on
-    both sides of 2**63 into float64 and misorder them."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    groups: list[list[int]] = [[order[0]]] if order else []
-    for prev, cur in zip(order, order[1:]):
-        if values[cur] - values[prev] > tol:
-            groups.append([])
-        groups[-1].append(cur)
-    return groups
+def clusters(values: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray]:
+    """Single-linkage clusters of the array ``values`` as ``(order, starts)``:
+    the stable argsort, and the int64 boundaries in it: 0, each position
+    where the sorted step exceeds ``tol`` (0 in exact mode: only equal
+    values tie) and ``len(values)``.  Cluster g is
+    ``order[starts[g]:starts[g + 1]]``, ascending with ties by index, so it
+    starts at its minimum.  A chain of steps within ``tol`` is one cluster
+    even when its ends lie further apart.  Numpy sorts object arrays (exact
+    keys, Fractions) by Python comparison.  Never pass a list: numpy would
+    turn ints on both sides of 2**63 into float64 and misorder them."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    brk = np.ones(len(values) + 1, dtype=bool)
+    brk[1:-1] = ranked[1:] - ranked[:-1] > tol
+    return order, np.flatnonzero(brk)

@@ -270,12 +270,12 @@ def _axis_components(pj: np.ndarray, pk: np.ndarray, unit, shrink):
 
 
 def _judging(inst: Instance, epsilon: float):
-    """(points, n, unit, shrink, groups) of an instance's edges: exact
-    instances group by equal keys and shrink nothing."""
+    """(points, n, unit, shrink, the clusters of q - 1 by key) of an
+    instance's edges: exact instances group by equal keys and shrink nothing."""
     P = inst.points
     n = P.shape[0]
     tol, shrink = (0, 0) if inst.exact else (epsilon, epsilon / 2)
-    return P, n, inst.unit, shrink, clusters(inst.keys[: n - 1].tolist(), tol)
+    return P, n, inst.unit, shrink, clusters(inst.keys[: n - 1], tol)
 
 
 def _sweep(inst: Instance, epsilon: float) -> SurvivorReport:
@@ -285,14 +285,14 @@ def _sweep(inst: Instance, epsilon: float) -> SurvivorReport:
     coverage with one insert.  The survivors kept so far are checked
     against ``numerics.survivors_fit`` as they are found, so a report that
     would not fit in memory is refused before it is built."""
-    P, n, unit, shrink, groups = _judging(inst, epsilon)
+    P, n, unit, shrink, (order, starts) = _judging(inst, epsilon)
     X = np.ascontiguousarray(P.T)  # (axis, point)
     S, E, cells = _rank_space(X, unit, shrink)
     alive: list[tuple[int, int, np.ndarray]] = []  # (group, q - 1, 0-based j's)
     kept = 0
-    for gid, group in enumerate(groups):
+    for gid in range(len(starts) - 1):
         pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for qi in group:
+        for qi in order[starts[gid]:starts[gid + 1]].tolist():
             q = qi + 1
             arcs = _arcs(X, S, E, slice(0, n - q), slice(q, n), unit)
             pending.append(arcs)
@@ -323,12 +323,11 @@ _GROW = 4
 
 
 def _brute(inst: Instance, epsilon: float) -> SurvivorReport:
-    P, n, unit, shrink, groups = _judging(inst, epsilon)
+    P, n, unit, shrink, (qi, starts) = _judging(inst, epsilon)
     m = P.shape[1]
     # Edges ordered by (group, q, j), so an edge's potential defeaters (the
     # edges of strictly shorter groups) are the prefix below its group start.
-    qi = np.array([q for group in groups for q in group])
-    gid = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    gid = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
     cnt = n - 1 - qi
     j = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)  # 0-based
     qi, gid = np.repeat(qi, cnt), np.repeat(gid, cnt)

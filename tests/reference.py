@@ -4,8 +4,9 @@ Each reads a definition literally, one scalar at a time, with scalar
 arithmetic on the unit circle R/Z (``fractional_part``, ``circle_norm``,
 ``signed_deviation``): half-open geodesic arcs on the circle (``Arc``,
 ``ArcKind``, ``geodesic``), the defeat relation over every pair of edges
-(``reference_survivors``) and the approximation profile's definitions
-(``exhaustive_profile``).  The scalar functions work on floats and on exact
+(``reference_survivors``), the approximation profile's definitions
+(``exhaustive_profile``) and single-linkage clustering in Python
+(``single_linkage``).  The scalar functions work on floats and on exact
 rationals (``int``/``Fraction``) alike, exactly on the latter.  None of it
 is used by the package itself.
 """
@@ -226,3 +227,17 @@ def three_gap_closed_form(alpha: Real, n: int) -> dict[Fraction, int]:
         if count:
             gaps[gap] = gaps.get(gap, 0) + count
     return gaps
+
+
+def single_linkage(values: list, tol) -> list[list[int]]:
+    """Single-linkage clusters of a list of values as lists of indices, in
+    Python: sorted ascending with ties by index, and a new cluster wherever
+    the step from the previous value exceeds ``tol``.  ``numerics.clusters``
+    must give these groups."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    groups: list[list[int]] = [[order[0]]] if order else []
+    for prev, cur in zip(order, order[1:]):
+        if values[cur] - values[prev] > tol:
+            groups.append([])
+        groups[-1].append(cur)
+    return groups

@@ -7,7 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reference import circle_norm, geodesic, reference_survivors, three_gap_closed_form
+from hypothesis import given
+from hypothesis import strategies as st
+
+from reference import (circle_norm, geodesic, reference_survivors, single_linkage,
+                       three_gap_closed_form)
 from torusgaps import tournament
 from torusgaps.denominators import approximation_profile
 from torusgaps.gaps import _assemble, gap_spectrum
@@ -34,6 +38,11 @@ def test_survivor_bound_constants():
     assert survivor_bound(4) == 16 * (81 + 16 + 1) + 2
     with pytest.raises(ValueError):
         survivor_bound(0)
+
+
+def as_groups(order, starts):
+    """``clusters``' (order, starts) as lists of indices, one per group."""
+    return [order[a:b].tolist() for a, b in zip(starts[:-1], starts[1:])]
 
 
 def engines(inst, epsilon=1e-9):
@@ -433,22 +442,30 @@ def test_instance_holds_arrays():
 
 
 def test_exact_keys_group_in_exact_order():
-    # Lattice keys reach m (L/2)^2, past 2**63 once L > 2**32; as one numpy
-    # array, keys on both sides of 2**63 would become float64 and tie.
-    keys = [2 ** 63 + 5, 5, 2 ** 63 + 1, 2 ** 63 + 1, 2 ** 200]
-    assert clusters(keys, 0) == [[1], [2, 3], [0], [4]]
+    # Lattice keys reach m (L/2)^2, past 2**63 once L > 2**32; as float64,
+    # keys on both sides of 2**63 would tie.
+    for keys, order, starts in (
+            ([2 ** 63 + 5, 5, 2 ** 63 + 1, 2 ** 63 + 1, 2 ** 200], [1, 2, 3, 0, 4],
+             [0, 1, 3, 4, 5]),
+            ([Fraction(1, 3), Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)],
+             [3, 0, 2, 1], [0, 1, 3, 4]),
+            ([], [], [0]),
+            ([2 ** 64], [0], [0, 1])):
+        got_order, got_starts = clusters(np.array(keys, dtype=object), 0)
+        assert got_order.tolist() == order and got_starts.tolist() == starts
+        assert got_starts.dtype == np.int64
 
 
 def test_clusters_chain_by_single_linkage():
     # 0, 0.6 eps and 1.2 eps are one cluster: each step is within eps,
     # although the ends are 1.2 eps apart.
     eps = 1e-9
-    keys = [0.0, 0.6 * eps, 1.2 * eps]
-    assert clusters(keys, eps) == [[0, 1, 2]]
+    keys = np.array([0.0, 0.6 * eps, 1.2 * eps])
+    assert as_groups(*clusters(keys, eps)) == [[0, 1, 2]]
     # Edge grouping: edges of three such lengths form one tie group.
     points = np.array([[0.0], [0.1], [0.2], [0.3]])
-    inst = Instance(points, np.array(keys), np.array(keys), 1.0)
-    assert _judging(inst, eps)[-1] == [[0, 1, 2]]
+    inst = Instance(points, keys, keys, 1.0)
+    assert as_groups(*_judging(inst, eps)[-1]) == [[0, 1, 2]]
     # Distinct gaps: circular gaps 0, 0.6 eps, 1.2 eps and 1 - 1.8 eps.  The
     # chain is one cluster at 0 and is dropped as zero; only 1 - 1.8 eps
     # remains.
@@ -457,6 +474,35 @@ def test_clusters_chain_by_single_linkage():
     assert spectrum.gaps == pytest.approx([0.0, 0.6 * eps, 1.2 * eps, 1 - 1.8 * eps],
                                           rel=0, abs=1e-15)
     assert spectrum.distinct_gaps == pytest.approx([1 - 1.8 * eps], rel=0, abs=1e-15)
+
+
+@st.composite
+def tied_arrays(draw):
+    """(values, tol): float64 chains whose steps are ties, at, just under
+    and just over the tolerance, or wide; int64 values with small and wide
+    steps; object arrays of ints around 2**63.  Shuffled."""
+    kind = draw(st.sampled_from(["float", "int64", "object"]))
+    if kind == "float":
+        tol = 1e-9
+        steps = st.sampled_from([0.0, tol, math.nextafter(tol, 0),
+                                 math.nextafter(tol, 1), 0.5 * tol, 0.25])
+        base = draw(st.sampled_from([0.0, 0.3]))
+        values = np.cumsum([base] + draw(st.lists(steps, max_size=30)))
+    elif kind == "int64":
+        tol = draw(st.sampled_from([0, 1, 2]))
+        ints = st.integers(0, 6) | st.integers(0, 2 ** 62 - 1)
+        values = np.array(draw(st.lists(ints, max_size=30)), dtype=np.int64)
+    else:
+        tol = 0
+        ints = st.integers(2 ** 63 - 3, 2 ** 63 + 3) | st.sampled_from([5, 2 ** 200])
+        values = np.array(draw(st.lists(ints, max_size=30)), dtype=object)
+    return np.array(draw(st.permutations(values.tolist())), dtype=values.dtype), tol
+
+
+@given(tied_arrays())
+def test_clusters_match_the_single_linkage_reference(case):
+    values, tol = case
+    assert as_groups(*clusters(values, tol)) == single_linkage(values.tolist(), tol)
 
 
 # The brute force judges edges in row blocks of 256 against chunks of their
@@ -485,7 +531,7 @@ def test_tiled_brute_tie_groups_straddle_row_blocks():
     n = 40
     inst = kronecker_instance([Fraction(1, 4), Fraction(1, 2)], n)
     sizes = [sum(n - 1 - qi for qi in g)
-             for g in clusters(inst.keys[: n - 1].tolist(), 0)]
+             for g in as_groups(*clusters(inst.keys[: n - 1], 0))]
     bounds = np.cumsum([0] + sizes)
     assert len(sizes) == 3
     assert any(lo < b < hi for lo, hi in zip(bounds, bounds[1:])
@@ -571,7 +617,7 @@ def test_one_query_per_q_and_one_insert_per_group(case, monkeypatch):
     monkeypatch.undo()
     # Each q is judged on all its axes by one query of its (m, n - q) arcs,
     # and each tie group enters the coverage by one insert of all its arcs.
-    groups = _judging(kronecker_instance(alphas, n), 1e-9)[-1]
+    groups = as_groups(*_judging(kronecker_instance(alphas, n), 1e-9)[-1])
     assert queries == [(m, n - 1 - qi) for group in groups for qi in group]
     assert inserts == [(m, sum(n - 1 - qi for qi in group)) for group in groups]
     several = case.startswith(("rational", "quarter"))
