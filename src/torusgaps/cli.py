@@ -24,6 +24,7 @@ from .experiments import (
     VERIFY_SUITES,
     ConfigError,
     _num_to_json,
+    _reports_agree,
     load_config,
     run_sweep,
     verify_suite,
@@ -174,21 +175,19 @@ def _print_survivors(report, alphas, n: int) -> None:
 
 def cmd_survivors(args) -> int:
     alphas = parse_alphas(args.alphas, args.exact)
-    m = len(alphas)
-    if not 1 <= m <= args.max_m:
-        raise CliError(f"m={m} outside 1..{args.max_m} (raise --max-m to override)")
-    if args.svg and m != 2:
+    if args.svg and len(alphas) != 2:
         raise CliError("--svg requires exactly two generator components (m = 2)")
     reports = []
     if args.mode in ("sweep", "both"):
         reports.append(survivors_sweep(alphas, args.n, epsilon=args.epsilon))
     if args.mode in ("brute", "both"):
         reports.append(survivors_brute(alphas, args.n, epsilon=args.epsilon))
+    agree = len(reports) == 1 or _reports_agree(*reports)
     if args.format == "json":
         payload = _survivor_payload(reports[0], alphas, args.n)
         if len(reports) == 2:
             payload["brute"] = _survivor_payload(reports[1], alphas, args.n)
-            payload["modes_agree"] = reports[0].survivors == reports[1].survivors
+            payload["modes_agree"] = agree
         _emit_json(payload)
     elif args.format == "csv":
         rows = [[r.mode, i, f"{ln:.17g}", j, k]
@@ -198,18 +197,17 @@ def cmd_survivors(args) -> int:
     else:
         for r in reports:
             _print_survivors(r, alphas, args.n)
-    if len(reports) == 2:
-        if reports[0].survivors != reports[1].survivors:
-            print("ENGINE MISMATCH: sweep and brute disagree", file=sys.stderr)
-            return VIOLATION
-        if args.format == "table":
-            print("sweep and brute agree")
+    if not agree:
+        print("ENGINE MISMATCH: sweep and brute disagree", file=sys.stderr)
+        return VIOLATION
+    if len(reports) == 2 and args.format == "table":
+        print("sweep and brute agree")
     if args.svg:
         render_survivors_svg(alphas, args.n, reports[0], args.svg)
         if args.format == "table":
             print(f"wrote {args.svg}")
     if args.assert_bound:
-        bound = survivor_bound(m)
+        bound = survivor_bound(len(alphas))
         for r in reports:
             if r.distinct_count > bound:
                 print(f"BOUND VIOLATION: |S|={r.distinct_count} > {bound} for "
@@ -405,7 +403,6 @@ def build_parser() -> _Parser:
     p.add_argument("--svg", metavar="PATH", help="render the m=2 instance to SVG")
     p.add_argument("--assert-bound", action="store_true",
                    help="exit 2 if |S| exceeds the dimension bound")
-    p.add_argument("--max-m", type=int, default=4, help="largest accepted dimension")
     p.set_defaults(func=cmd_survivors)
 
     p = sub.add_parser("denominators", parents=[instance],

@@ -46,7 +46,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import EPSILON, Instance, ceil_sqrt, clusters, kronecker_instance
+from .numerics import (EPSILON, Instance, ceil_sqrt, clusters, kronecker_instance,
+                       tolerance)
 
 __all__ = [
     "ApproximationProfile",
@@ -116,22 +117,19 @@ class _Table:
     its comparison keys (float64 lengths in floating mode, the exact lattice
     integers L^2 l(q)^2 in exact mode, so every comparison stays exact past
     2**63) and its display lengths.  The table adds ``pos``, the (n, m)
-    sign matrix, True where the sign is '+'; on the lattice
-    {q a_r} - 1/2 >= 0 reads as 2 x >= L.
+    sign matrix, True where the sign is '+', read off twice the deviation,
+    2 x - unit, so one guarded comparison serves both modes.
 
     A row becomes a ``DenominatorRecord``, sign string and all, only
     through ``record``."""
 
     def __init__(self, inst: Instance, epsilon: float):
         self.exact = inst.exact
-        self.tol = 0 if self.exact else epsilon
+        self.tol = tolerance(epsilon, self.exact)
         self.points, self.unit = inst.points, inst.unit
         self.keys, self.lengths = inst.keys, inst.lengths
-        if self.exact:
-            self.pos = 2 * inst.points >= inst.unit
-        else:
-            dev = inst.points - 0.5
-            self.pos = (dev >= -epsilon) & (dev < 0.5 - epsilon)
+        dev = 2 * inst.points - inst.unit
+        self.pos = (dev >= -2 * self.tol) & (dev < inst.unit - 2 * self.tol)
 
     def record(self, q: int) -> DenominatorRecord:
         """Row q: deviations x - 1/2 of its points (x/L - 1/2 on the lattice)."""

@@ -27,8 +27,9 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -37,7 +38,7 @@ import numpy as np
 from .denominators import (approximation_profile, primary_count_bound,
                            profile_checks, undercut_bound)
 from .gaps import chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
-from .numerics import (EPSILON, Real, edges_fit, points_fit, too_large,
+from .numerics import (EPSILON, Real, edges_fit, points_fit, tolerance, too_large,
                        valid_epsilon)
 from .tournament import survivor_bound, survivors_brute, survivors_sweep
 
@@ -154,32 +155,33 @@ def _parse_component(v, key: str) -> Real:
     raise ConfigError(f"unparseable generator component {v!r}", [key])
 
 
-_SOURCE_KEYS = {
-    "uniform_random": {"kind", "trials"},
-    "quadratic_irrationals": {"kind", "catalog"},
-    "rational_grid": {"kind", "max_denominator"},
-    "explicit": {"kind", "alphas"},
-}
+_SOURCES = {cls.kind: cls for cls in (UniformRandom, QuadraticIrrationals,
+                                      RationalGrid, Explicit)}
+
+
+def _keys(cls) -> set[str]:
+    return {f.name for f in fields(cls)}  # a config object's keys are its fields
 
 
 def _parse_source(d: dict, m: int):
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("alpha_source must be an object with a 'kind'",
                           ["alpha_source"])
-    kind = d["kind"]
-    if kind not in _SOURCE_KEYS:
-        raise ConfigError(f"unknown alpha_source kind {kind!r}", ["alpha_source.kind"])
-    extra = set(d) - _SOURCE_KEYS[kind]
+    cls = _SOURCES.get(d["kind"]) if isinstance(d["kind"], str) else None
+    if cls is None:
+        raise ConfigError(f"unknown alpha_source kind {d['kind']!r}",
+                          ["alpha_source.kind"])
+    extra = set(d) - _keys(cls)
     if extra:
         raise ConfigError("unknown alpha_source keys",
                           [f"alpha_source.{k}" for k in sorted(extra)])
-    if kind == "uniform_random":
+    if cls is UniformRandom:
         trials = d.get("trials")
         if not _is_number(trials, int) or trials < 1:
             raise ConfigError("uniform_random needs a positive integer 'trials'",
                               ["alpha_source.trials"])
         return UniformRandom(trials=trials)
-    if kind == "quadratic_irrationals":
+    if cls is QuadraticIrrationals:
         catalog = d.get("catalog", list(QUADRATIC_IRRATIONALS))
         bad = not isinstance(catalog, list) or [
             c for c in catalog if not isinstance(c, str) or c not in QUADRATIC_IRRATIONALS]
@@ -188,7 +190,7 @@ def _parse_source(d: dict, m: int):
                 f"catalog must pick at least m of {sorted(QUADRATIC_IRRATIONALS)}",
                 ["alpha_source.catalog"])
         return QuadraticIrrationals(catalog=list(catalog))
-    if kind == "rational_grid":
+    if cls is RationalGrid:
         md = d.get("max_denominator")
         if not _is_number(md, int) or md < 2:
             raise ConfigError("rational_grid needs max_denominator >= 2",
@@ -210,11 +212,11 @@ def _parse_source(d: dict, m: int):
 def config_from_dict(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"m", "alpha_source", "n_values", "epsilon", "seed", "output"}
-    extra = sorted(set(d) - known)
+    extra = sorted(set(d) - _keys(ExperimentConfig))
     if extra:
         raise ConfigError("unknown config keys", extra)
-    missing = sorted(k for k in ("m", "alpha_source", "n_values") if k not in d)
+    missing = sorted(f.name for f in fields(ExperimentConfig) if f.name not in d
+                     and f.default is MISSING and f.default_factory is MISSING)
     if missing:
         raise ConfigError("missing required config keys", missing)
     offending = []
@@ -226,14 +228,14 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             or not all(_is_number(n, int) and n >= 2 and points_fit(n, size_m)
                        for n in n_values)):
         offending.append("n_values")
-    epsilon = d.get("epsilon", EPSILON)
+    epsilon = d.get("epsilon", ExperimentConfig.epsilon)
     if not _is_number(epsilon) or not valid_epsilon(epsilon):
         offending.append("epsilon")
-    seed = d.get("seed", 0)
+    seed = d.get("seed", ExperimentConfig.seed)
     if not _is_number(seed, int):
         offending.append("seed")
     out = d.get("output", {})
-    if not isinstance(out, dict) or set(out) - {"summary_json", "trials_csv"}:
+    if not isinstance(out, dict) or set(out) - _keys(OutputSpec):
         offending.append("output")
     if offending:
         raise ConfigError("invalid config values", offending)
@@ -243,8 +245,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         n_values=list(n_values),
         epsilon=float(epsilon),
         seed=seed,
-        output=OutputSpec(summary_json=out.get("summary_json"),
-                          trials_csv=out.get("trials_csv")),
+        output=OutputSpec(**out),
     )
 
 
@@ -502,7 +503,8 @@ class CrossCheckReport:
         return not self.mismatches and not self.errors
 
 
-def _reports_agree(a, b, tol: float) -> bool:
+def _reports_agree(a, b, tol: float = 1e-12) -> bool:
+    """The one survivor-agreement rule: equal edges, distinct lengths within tol."""
     return (a.survivors == b.survivors
             and a.distinct_count == b.distinct_count
             and all(abs(x - y) <= tol for x, y in
@@ -531,7 +533,7 @@ def cross_check(config: ExperimentConfig) -> CrossCheckReport:
                 "error": f"{type(exc).__name__}: {exc}",
             })
             continue
-        if not _reports_agree(swept, brute, 1e-12):
+        if not _reports_agree(swept, brute):
             report.mismatches.append({
                 "trial_id": trial_id,
                 "alphas": _num_to_json(alphas),
@@ -573,7 +575,7 @@ def _uniform_config(m: int, trials: int, seed: int, max_n: int,
                             seed=seed)
 
 
-def _suite_one_d(trials: int, seed: int, max_n: int, epsilon: float) -> VerifyResult:
+def _suite_one_d(trials: int, seed: int, epsilon: float, max_n: int) -> VerifyResult:
     res = VerifyResult("one_d")
     worst = 0
     violations = 0
@@ -601,8 +603,8 @@ def _suite_one_d(trials: int, seed: int, max_n: int, epsilon: float) -> VerifyRe
     return res
 
 
-def _survivor_suite(name: str, m: int, trials: int, seed: int, max_n: int,
-                    epsilon: float) -> VerifyResult:
+def _survivor_suite(name: str, m: int, trials: int, seed: int, epsilon: float,
+                    max_n: int) -> VerifyResult:
     res = VerifyResult(name)
     bound = survivor_bound(m)
     summary = run_sweep(_uniform_config(m, trials, seed, max_n, epsilon))
@@ -614,7 +616,7 @@ def _survivor_suite(name: str, m: int, trials: int, seed: int, max_n: int,
     return res
 
 
-def _suite_lemmas(trials: int, seed: int, max_n: int, epsilon: float) -> VerifyResult:
+def _suite_lemmas(trials: int, seed: int, epsilon: float, max_n: int) -> VerifyResult:
     res = VerifyResult("lemmas")
     plan = [(1, max(1, trials // 10)), (2, trials), (3, max(1, (3 * trials) // 10))]
     # Largest m first: its size rule is the strictest, checked before any trial.
@@ -674,7 +676,7 @@ def _suite_classical(trials: int, seed: int, epsilon: float) -> VerifyResult:
     return res
 
 
-def _suite_oracle(trials: int, seed: int, max_n: int, epsilon: float) -> VerifyResult:
+def _suite_oracle(trials: int, seed: int, epsilon: float, max_n: int) -> VerifyResult:
     res = VerifyResult("oracle")
     # Largest m first: its size rules are the strictest, checked before any trial.
     reports = {m: cross_check(_uniform_config(m, trials, seed + m, max_n, epsilon))
@@ -685,46 +687,39 @@ def _suite_oracle(trials: int, seed: int, max_n: int, epsilon: float) -> VerifyR
     return res
 
 
-VERIFY_SUITES = ("one_d", "planar", "higher", "lemmas", "classical", "oracle")
-
-_SUITE_DEFAULTS = {
-    "one_d": (10_000, 500),
-    "planar": (1_000, 300),
-    "higher": (300, 120),
-    "lemmas": (1_000, 300),
-    "classical": (500, 0),
-    "oracle": (200, 120),
+# name: (run(trials, seed, epsilon[, max_n]), default trials, default max_n).
+# A max_n of None marks a suite that draws its own n and refuses one.
+_SUITES = {
+    "one_d": (_suite_one_d, 10_000, 500),
+    "planar": (partial(_survivor_suite, "planar", 2), 1_000, 300),
+    "higher": (partial(_survivor_suite, "higher", 3), 300, 120),
+    "lemmas": (_suite_lemmas, 1_000, 300),
+    "classical": (_suite_classical, 500, None),
+    "oracle": (_suite_oracle, 200, 120),
 }
+
+VERIFY_SUITES = tuple(_SUITES)
 
 
 def verify_suite(name: str, *, trials: int | None = None, seed: int = 0,
                  max_n: int | None = None, epsilon: float = EPSILON) -> VerifyResult:
     """Run one named verification suite at the given scale."""
-    if name not in VERIFY_SUITES:
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of {', '.join(VERIFY_SUITES)}")
-    # Checked before the defaults apply: classical's default max_n is the
-    # placeholder 0, as it draws its own n.
+    run, d_trials, d_max_n = _SUITES[name]
+    if max_n is not None and d_max_n is None:
+        raise ValueError(f"suite {name!r} draws its own n and takes no max_n")
     if max_n is not None and max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
-    d_trials, d_max_n = _SUITE_DEFAULTS[name]
     trials = d_trials if trials is None else trials
-    max_n = d_max_n if max_n is None else max_n
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    # No engine raises on a NaN tolerance: the suite would pass silently.
-    if not valid_epsilon(epsilon):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    if name == "one_d":
-        return _suite_one_d(trials, seed, max_n, epsilon)
-    if name == "planar":
-        return _survivor_suite("planar", 2, trials, seed, max_n, epsilon)
-    if name == "higher":
-        return _survivor_suite("higher", 3, trials, seed, max_n, epsilon)
-    if name == "lemmas":
-        return _suite_lemmas(trials, seed, max_n, epsilon)
-    if name == "classical":
-        return _suite_classical(trials, seed, epsilon)
-    return _suite_oracle(trials, seed, max_n, epsilon)
+    # The engines refuse a bad epsilon too, but one trial at a time: checked
+    # here, it is one usage error before any trial runs.
+    tolerance(epsilon, exact=False)
+    if d_max_n is None:
+        return run(trials, seed, epsilon)
+    return run(trials, seed, epsilon, d_max_n if max_n is None else max_n)
 
 
 # ---------------------------------------------------------------------------

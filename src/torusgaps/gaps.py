@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import (EPSILON, Real, clusters, coerce_components, frac_array,
-                       kronecker_points, lattice)
+                       kronecker_points, lattice, tolerance)
 
 __all__ = ["GapSpectrum", "gap_spectrum", "chung_graham_gaps", "geelen_simpson_gaps"]
 
@@ -81,7 +81,7 @@ def _assemble(points: np.ndarray, labels: list, epsilon: float,
         gaps[0] = pts[0]
         gaps[1:-1] = np.diff(pts)
         gaps[-1] = unit - pts[-1]
-    tol = 0 if exact else epsilon
+    tol = tolerance(epsilon, exact)
     order, starts = clusters(gaps, tol)
     distinct = gaps[order[starts[:-1]]]  # each cluster's minimum
     distinct = distinct[distinct > tol].tolist()

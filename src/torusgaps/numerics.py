@@ -2,16 +2,16 @@
 Kronecker instance on it, the one size rule (``points_fit`` and
 ``edges_fit``, checked before anything is allocated, and
 ``survivors_fit``, checked as the sweep finds survivors), the one
-clustering rule, integer roots.
+tolerance rule, the one clustering rule, integer roots.
 
 Every quantity in this package lives in one of two numeric modes:
 
 * floating point, with a configurable comparison tolerance ``epsilon``;
 * exact rationals, used when every input component is an ``int`` or a
-  ``fractions.Fraction``.  In exact mode all comparisons are literal and
-  ``epsilon`` is ignored.  Kronecker points are then stored as integers on
-  the lattice Z/L, L the common denominator, so exact arithmetic runs on
-  integer arrays instead of Fractions.
+  ``fractions.Fraction``.  In exact mode all comparisons are literal
+  (``tolerance`` gives 0) and ``epsilon`` is only checked.  Kronecker
+  points are then stored as integers on the lattice Z/L, L the common
+  denominator, so exact arithmetic runs on integer arrays, not Fractions.
 
 The Kronecker point set is built in one place: ``kronecker_points`` writes
 out the points of k = 1..n, and ``kronecker_instance``, the one constructor
@@ -183,6 +183,14 @@ def valid_epsilon(x) -> bool:
     comparison so NaN, inf and ints too large for a float all fail it
     without an OverflowError."""
     return 0 <= x <= sys.float_info.max
+
+
+def tolerance(epsilon, exact: bool):
+    """``epsilon`` in floating mode, the int 0 in exact mode (so lattice
+    arrays shifted by it stay integer); a bad epsilon is refused in both."""
+    if not valid_epsilon(epsilon):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    return 0 if exact else epsilon
 
 
 def ceil_sqrt(n: int) -> int:

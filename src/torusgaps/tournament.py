@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (EPSILON, Instance, ceil_sqrt, clusters, edges_fit,
-                       kronecker_instance, survivors_fit, too_large)
+                       kronecker_instance, survivors_fit, tolerance, too_large)
 
 __all__ = [
     "SurvivorReport",
@@ -271,10 +271,11 @@ def _axis_components(pj: np.ndarray, pk: np.ndarray, unit, shrink):
 
 def _judging(inst: Instance, epsilon: float):
     """(points, n, unit, shrink, the clusters of q - 1 by key) of an
-    instance's edges: exact instances group by equal keys and shrink nothing."""
+    instance's edges: the shrink is half the tolerance, and an exact 0."""
     P = inst.points
     n = P.shape[0]
-    tol, shrink = (0, 0) if inst.exact else (epsilon, epsilon / 2)
+    tol = tolerance(epsilon, inst.exact)
+    shrink = tol / 2 if tol else tol  # an int 0 keeps lattice arrays integer
     return P, n, inst.unit, shrink, clusters(inst.keys[: n - 1], tol)
 
 

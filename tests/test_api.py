@@ -3,6 +3,8 @@ module, a CLI option or a config key shows up as a diff of these lists."""
 
 import argparse
 import importlib
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -95,7 +97,7 @@ CLI_ARGUMENTS = {
     "gaps": ["--format", "--epsilon", "--exact", "alpha", "n", "--circular",
              "--assert-bound"],
     "survivors": ["--format", "--epsilon", "--exact", "alphas", "n", "--mode", "--svg",
-                  "--assert-bound", "--max-m"],
+                  "--assert-bound"],
     "denominators": ["--format", "--epsilon", "--exact", "alphas", "n"],
     "verify": ["suite", "--format", "--epsilon", "--seed", "--trials", "--max-n"],
     "sweep": ["config", "--format"],
@@ -132,3 +134,31 @@ def test_config_keys_are_pinned():
         assert sorted(written["alpha_source"]) == SOURCE_KEYS[kind]
         # Every key the config writes is one it accepts.
         assert config_from_dict(written) == config
+
+
+# The six public entry points that take a tolerance, each called with the
+# generators (a, b) of one numeric mode and an epsilon.
+TOLERANT = {
+    "survivors_sweep": lambda a, b, eps: torusgaps.survivors_sweep([a, b], 20, epsilon=eps),
+    "survivors_brute": lambda a, b, eps: torusgaps.survivors_brute([a, b], 20, epsilon=eps),
+    "approximation_profile":
+        lambda a, b, eps: torusgaps.approximation_profile([a, b], 20, epsilon=eps),
+    "gap_spectrum": lambda a, b, eps: torusgaps.gap_spectrum(a, 20, epsilon=eps),
+    "chung_graham_gaps":
+        lambda a, b, eps: torusgaps.chung_graham_gaps(a, [b], [20], epsilon=eps),
+    "geelen_simpson_gaps":
+        lambda a, b, eps: torusgaps.geelen_simpson_gaps(a, b, 5, 4, epsilon=eps),
+}
+MODES = {"float": (0.3, 0.41), "exact": (Fraction(3, 10), Fraction(41, 100))}
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.01], ids=str)
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("entry", sorted(TOLERANT))
+def test_entry_points_refuse_a_bad_epsilon(entry, mode, epsilon):
+    # Unchecked, NaN answered silently: survivors_sweep([0.3, 0.41], 20)
+    # kept all 190 edges (13 survive), the profile gave q1 = 1 and no q2
+    # (10 and 7), and gap_spectrum(0.3, 20) found no distinct gap (1).
+    TOLERANT[entry](*MODES[mode], 1e-9)
+    with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+        TOLERANT[entry](*MODES[mode], epsilon)

@@ -83,6 +83,32 @@ def test_survivors_both_modes_agree(capsys):
     assert "sweep and brute agree" in out
 
 
+def test_survivors_both_modes_read_one_agreement_rule(capsys, monkeypatch):
+    # modes_agree and the exit code both come from experiments._reports_agree,
+    # called once on the two reports; a single engine never calls it.
+    from torusgaps import cli
+    calls = []
+
+    def disagree(a, b):
+        calls.append((a.mode, b.mode))
+        return False
+
+    monkeypatch.setattr(cli, "_reports_agree", disagree)
+    code, out, err = run_cli(capsys, "survivors", "0.3,0.41", "20", "--mode", "both",
+                             "--format", "json")
+    assert code == 2 and "ENGINE MISMATCH" in err
+    payload = json.loads(out)
+    assert payload["modes_agree"] is False
+    assert payload["survivor_count"] == payload["brute"]["survivor_count"] == 13
+    assert calls == [("sweep", "brute")]
+    assert run_cli(capsys, "survivors", "0.3,0.41", "20")[0] == 0
+    assert calls == [("sweep", "brute")]
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "survivors", "0.3,0.41", "20", "--mode", "both",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["modes_agree"] is True
+
+
 def test_survivors_both_modes_csv_names_the_engine(capsys):
     code, out, _ = run_cli(capsys, "survivors", "1/2,1/3", "7", "--mode", "both",
                            "--format", "csv")
@@ -148,10 +174,17 @@ def test_survivors_assert_bound_m3(capsys):
     assert payload["distinct_count"] <= 290
 
 
-def test_survivors_dimension_cap(capsys):
-    code, _, err = run_cli(capsys, "survivors", "0.1,0.2,0.3,0.4,0.5", "5")
+def test_survivors_dimension_is_bounded_by_the_size_rule_alone(capsys):
+    code, out, _ = run_cli(capsys, "survivors", "0.1,0.2,0.3,0.4,0.5", "5",
+                           "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["m"] == 5 and payload["survivor_count"] >= 1
+    code, out, err = run_cli(capsys, "survivors", "0.1,0.2,0.3,0.4,0.5",
+                             "1000000000000")
     assert code == 1
-    assert "max-m" in err
+    assert err.startswith("torusgaps: ") and "too large at m=5" in err
+    assert "Traceback" not in err and not out
 
 
 def test_survivors_svg_requires_m2(capsys, tmp_path):
@@ -326,6 +359,8 @@ def test_commands_take_only_the_flags_they_read(capsys, tmp_path):
                  ["verify", "planar", "--exact"],
                  ["verify", "planar", "--oracle-cap", "5"],
                  ["survivors", "0.3", "5", "--oracle-cap", "5"],
+                 ["survivors", "0.3", "5", "--max-m", "5"],
+                 ["verify", "classical", "--trials", "2", "--max-n", "50"],
                  ["sweep", str(cfg_path), "--seed", "1"]):
         assert main(argv) == 1
 

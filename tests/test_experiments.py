@@ -66,6 +66,9 @@ def test_config_round_trip():
      "alpha_source.catalog"),
     ({"alpha_source": {"kind": "quadratic_irrationals", "catalog": [["golden"], "sqrt2"]}},
      "alpha_source.catalog"),
+    ({"alpha_source": {"kind": "bogus"}}, "alpha_source.kind"),
+    # A kind that is not a string cannot name a source (a list is unhashable).
+    ({"alpha_source": {"kind": ["explicit"]}}, "alpha_source.kind"),
 ])
 def test_config_rejects_bad_values(mutation, expected_key):
     with pytest.raises(ConfigError) as err:
@@ -277,6 +280,8 @@ def test_verify_suite_rejects_unknown_name():
                  id="planar-max_n"),
     pytest.param(lambda: verify_suite("classical", trials=2, max_n=1), "max_n",
                  id="classical-max_n"),
+    pytest.param(lambda: verify_suite("classical", trials=2, max_n=50), "max_n",
+                 id="classical-any-max_n"),
     pytest.param(lambda: verify_suite("planar", trials=-3), "trials",
                  id="planar-trials"),
     pytest.param(lambda: verify_suite("oracle", trials=0), "trials",
@@ -299,7 +304,9 @@ def test_verify_suite_rejects_max_n_below_two(call, name):
 @pytest.mark.parametrize("suite", ["one_d", "planar", "higher", "lemmas",
                                    "classical", "oracle"])
 def test_verify_suites_pass_at_smoke_scale(suite):
-    result = verify_suite(suite, trials=8, seed=3, max_n=40)
+    # classical draws its own n and refuses a max_n.
+    sizes = {} if suite == "classical" else {"max_n": 40}
+    result = verify_suite(suite, trials=8, seed=3, **sizes)
     assert result.passed, result.checks
     assert result.checks
 

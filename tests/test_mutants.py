@@ -1,0 +1,214 @@
+"""A catalogue of mutants: small faults planted in the engines' source, each
+of which a named family of instances must catch (DeMillo, Lipton and
+Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978).
+
+A family is a function of a module that returns the instances on which the
+module answers wrongly; on the package itself every family returns none.
+A mutant is one family, one exact snippet of the source of the module that
+family reads, and the snippet's replacement.  It is compiled from the
+mutated source into a fresh module of the package, so its relative imports
+reach the real ``numerics``, and is registered in ``sys.modules`` while it
+executes, since dataclasses look their module up there.
+
+A snippet that no longer occurs exactly once fails its test: a refactor of
+the engines updates the catalogue with them.  A mutant that its family does
+not kill is a gap in the tests: add the instances that kill it, as
+``HALF_COORDINATES`` and ``FLOATS_OF_RATIONALS`` were added, rather than
+dropping it.
+"""
+
+import importlib
+import random
+import sys
+import types
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from reference import exhaustive_profile, reference_survivors
+from test_tournament import (FLOATS_OF_RATIONALS, HALF_COORDINATES, LATTICE_CASES,
+                             NEAR_DEGENERATE)
+
+
+def _agree(a, b):
+    return a.survivors == b.survivors and a.distinct_lengths == b.distinct_lengths
+
+
+def _seeded_instances(seed, count, max_m, max_n):
+    """Seeded (alphas, n) pairs, m cycling 1..max_m: uniform floats and
+    rationals with denominators below 30, alternately."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        m, n = 1 + i % max_m, rng.randrange(2, max_n + 1)
+        if i % 2:
+            alphas = [rng.random() for _ in range(m)]
+        else:
+            alphas = [Fraction(rng.randrange(1, d), d)
+                      for d in (rng.randrange(2, 30) for _ in range(m))]
+        cases.append((alphas, n))
+    return cases
+
+
+def sweep_equals_brute(cases):
+    def family(t):
+        return [(a, n) for a, n in cases
+                if not _agree(t.survivors_sweep(a, n), t.survivors_brute(a, n))]
+    return family
+
+
+def floats_keep_exact_survivors(t):
+    """Floats of rationals: the float sweep keeps the exact sweep's edges."""
+    return [(a, n) for a, n in FLOATS_OF_RATIONALS
+            if t.survivors_sweep([float(x) for x in a], n).survivors
+            != t.survivors_sweep(a, n).survivors]
+
+
+def follow_reference(cases):
+    """Both engines keep the edges the literal reference keeps."""
+    def family(t):
+        bad = []
+        for a, n in cases:
+            want = reference_survivors([Fraction(x) for x in a], n)
+            swept, brute = t.survivors_sweep(a, n), t.survivors_brute(a, n)
+            if not swept.survivors == brute.survivors == want:
+                bad.append((a, n))
+        return bad
+    return family
+
+
+# Rationals with small denominators (so ties, zero and half coordinates
+# abound) and their floats, plus uniform floats; and two floats of rationals
+# with a multiple that lands just below an integer (55 float(3/11) and
+# 55 float(6/11)), so a point lies within epsilon below 1.
+PROFILE_CASES = [(alphas, n) for exact, n in _seeded_instances(7, 30, 3, 60)
+                 for alphas in (exact, [float(x) for x in exact])]
+PROFILE_CASES += [([3 / 11], 56), ([6 / 11, 2 / 7], 113)]
+
+
+def profile_follows_reference(d):
+    """Every champion of the profile is the one ``exhaustive_profile`` reads
+    off per-q scalar arithmetic."""
+    bad = []
+    for a, n in PROFILE_CASES:
+        p, want = d.approximation_profile(a, n), exhaustive_profile(a, n)
+        got = {"q1": p.q1, "primary": [r.q for r in p.primary], "q1_perp": p.q1_perp,
+               "q2": p.q2, "q2_strict": p.q2_strict,
+               "secondary": [r.q for r in p.secondary], "undercut": p.undercut}
+        if any(want[k] != v for k, v in got.items()):
+            bad.append((a, n))
+    return bad
+
+
+# Each family with the module it reads.
+FAMILIES = {
+    "generic": ("tournament", sweep_equals_brute(_seeded_instances(15, 40, 3, 40))),
+    "near_degenerate": ("tournament", sweep_equals_brute(NEAR_DEGENERATE[:5])),
+    "floats_of_rationals": ("tournament", floats_keep_exact_survivors),
+    "half_coordinates": ("tournament", follow_reference(HALF_COORDINATES)),
+    "wide_lattices": ("tournament",
+                      follow_reference([(a, 12) for a, _ in LATTICE_CASES.values()])),
+    "profile_reference": ("denominators", profile_follows_reference),
+}
+
+# name: (the family that must kill it, snippet, replacement).
+MUTANTS = {
+    # tournament._Cells.query: a wrapped arc compared with 0, not its axis total.
+    "query_without_wrapped_totals": (
+        "generic",
+        "return inside != np.where(wrap, self.total, 0)",
+        "return inside != 0"),
+    # tournament._Cells.insert: wrapped arcs not closed over their axis's live cells.
+    "insert_without_first_last": (
+        "generic",
+        "        depth[self.first] += wrapped\n        depth[self.last] -= wrapped\n",
+        ""),
+    # tournament._sweep: each q inserted before the rest of its group is judged.
+    "insert_each_q_before_its_group_is_judged": (
+        "generic",
+        "            undefeated = np.flatnonzero(~cells.query(*arcs).any(axis=0))\n",
+        "            undefeated = np.flatnonzero(~cells.query(*arcs).any(axis=0))\n"
+        "            cells.insert(*arcs)\n"),
+    # tournament._brute: the first edge of an edge's own group counted as a defeater.
+    "brute_prefix_mask_le": (
+        "generic",
+        "hit &= np.arange(c0, c1) < prefix[rows, None]",
+        "hit &= np.arange(c0, c1) <= prefix[rows, None]"),
+    # tournament._brute: closed instead of half-open overlap.
+    "brute_closed_overlap": (
+        "generic",
+        "hit |= ((a < oe) & (os < b)).any(axis=(0, 1))",
+        "hit |= ((a <= oe) & (os <= b)).any(axis=(0, 1))"),
+    # tournament._rank_space: the shrunk end x - shrink read as the start x + shrink.
+    "end_ranks_are_start_ranks": (
+        "near_degenerate",
+        "S[r], E[r] = rank[:n], rank[n:2 * n]",
+        "S[r], E[r] = rank[:n], rank[:n]"),
+    # tournament._arcs: a wrapped arc's lo taken from the shrunk starts.
+    "wrapped_lo_from_starts": (
+        "near_degenerate",
+        "lo = np.where(wrap, np.minimum(ej, ek), np.minimum(sj, sk))",
+        "lo = np.where(wrap, np.minimum(sj, sk), np.minimum(sj, sk))"),
+    # tournament._arcs: crossed shrunk ends kept as a reversed range.
+    "reversed_ranges_kept": (
+        "floats_of_rationals",
+        "return lo, np.maximum(lo, hi), wrap",
+        "return lo, hi, wrap"),
+    # tournament._arcs: the wrap test non-strict, so a half coordinate wraps.
+    "wrap_at_half": (
+        "half_coordinates",
+        "wrap = 2 * np.abs(X[..., j] - X[..., k]) > unit",
+        "wrap = 2 * np.abs(X[..., j] - X[..., k]) >= unit"),
+    # tournament._judging: an exact shrink of 0.0, which turns lattice residues
+    # into floats (object arrays of Python ints into Python floats).
+    "float_shrink_on_the_lattice": (
+        "wide_lattices",
+        "shrink = tol / 2 if tol else tol",
+        "shrink = tol / 2"),
+    # denominators._Table: a deviation of exactly 0 read as '-'.
+    "sign_of_zero_deviation": (
+        "profile_reference",
+        "dev >= -2 * self.tol",
+        "dev > -2 * self.tol"),
+    # denominators._Table: a point within epsilon below 1 not read as 0.
+    "sign_without_upper_guard": (
+        "profile_reference",
+        "dev < inst.unit - 2 * self.tol",
+        "dev < inst.unit"),
+}
+
+
+def mutant(name: str, snippet: str, replacement: str) -> types.ModuleType:
+    """The package module ``name`` compiled from its source with ``snippet``
+    (which must occur exactly once) replaced."""
+    path = Path(importlib.import_module(f"torusgaps.{name}").__file__)
+    source = path.read_text(encoding="utf-8")
+    assert source.count(snippet) == 1, f"the catalogue's snippet is stale: {snippet!r}"
+    module = types.ModuleType(f"torusgaps._mutant_{name}")
+    module.__package__ = "torusgaps"
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(source.replace(snippet, replacement), str(path), "exec"),
+             module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_families_pass_on_the_package(family):
+    name, check = FAMILIES[family]
+    assert check(importlib.import_module(f"torusgaps.{name}")) == []
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTANTS))
+def test_mutant_is_killed_by_its_family(mutation):
+    family, snippet, replacement = MUTANTS[mutation]
+    name, check = FAMILIES[family]
+    assert check(mutant(name, snippet, replacement)), f"{mutation} survives {family}"
+
+
+def test_a_stale_snippet_fails():
+    with pytest.raises(AssertionError, match="stale"):
+        mutant("tournament", "no such line", "")

@@ -728,3 +728,38 @@ def test_sweep_equals_brute_on_near_degenerate_floats(alphas, n):
     swept, brute = survivors_sweep(alphas, n), survivors_brute(alphas, n)
     assert swept.survivors == brute.survivors
     assert swept.distinct_lengths == brute.distinct_lengths
+
+
+# Half coordinates: two points exactly half a circle apart on an axis are
+# joined by two geodesics, and the engines take the plain one (the wrap test
+# is strict).  At (1/4, 1/2), n = 15, that reading keeps 61 survivors, and a
+# non-strict wrap test keeps 65; both engines would flip together, so only
+# the literal reference tells them apart.
+HALF_COORDINATES = [([Fraction(1, 4), Fraction(1, 2)], 15), ([0.25, 0.5], 15)]
+
+
+@pytest.mark.parametrize("alphas,n", HALF_COORDINATES)
+def test_half_coordinates_follow_the_reference_geodesic(alphas, n):
+    want = reference_survivors([Fraction(a) for a in alphas], n)
+    assert len(want) == 61
+    assert survivors_sweep(alphas, n).survivors == want
+    assert survivors_brute(alphas, n).survivors == want
+
+
+# Floats of rationals with coincident points: the edges between them have
+# arcs narrower than the tolerance, whose shrunk ends cross.  Such an arc is
+# empty (``_arcs`` takes hi = max(lo, hi)); read as a reversed range, it
+# would defeat edges, and the float sweep would keep fewer survivors than
+# exact mode and the brute force.
+FLOATS_OF_RATIONALS = [
+    ([Fraction(8, 9), Fraction(7, 10)], 35), ([Fraction(16, 19), Fraction(4, 5)], 37),
+    ([Fraction(1, 3), Fraction(12, 13)], 39), ([Fraction(2, 3), Fraction(1, 2)], 39),
+]
+
+
+@pytest.mark.parametrize("alphas,n", FLOATS_OF_RATIONALS)
+def test_floats_of_rationals_keep_the_exact_survivors(alphas, n):
+    floats = [float(a) for a in alphas]
+    swept = survivors_sweep(floats, n)
+    assert swept.survivors == survivors_sweep(alphas, n).survivors
+    assert swept.survivors == survivors_brute(floats, n).survivors
