@@ -1,10 +1,13 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from reference import circle_norm, exhaustive_profile, signed_deviation
+from test_tournament import generator_kinds
 from torusgaps.denominators import (
     PRIMARY_DISTINCT_BOUND_2D,
     _Table,
@@ -290,3 +293,43 @@ def test_strict_opposite_pool_variant_is_reported():
     # the strict pool is a subset, so its champion can only be weakly longer
     if profile.q2_strict is not None:
         assert profile.q2_strict_length >= profile.q2_length - 1e-9
+
+
+def record_cases():
+    """36 seeded instances, n <= 300: two at each m = 1..3 of each kind of
+    ``generator_kinds``."""
+    rng = random.Random(2324)
+    kinds = generator_kinds(rng)
+    return [(kind, [kinds[kind]() for _ in range(m)], rng.randrange(2, 301))
+            for kind in sorted(kinds) for m in (1, 2, 3) for _ in range(2)]
+
+
+def records_digest(alphas, n):
+    """The first 16 hex digits of the sha256 of every row of the table as a
+    record, followed by the profile."""
+    table = _Table(kronecker_instance(alphas, n), EPSILON)
+    text = repr([table.record(q) for q in range(1, n + 1)])
+    text += repr(approximation_profile(alphas, n))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# Records pinned before ``_Table.record`` read its deviations through
+# ``numerics``, for the cases of record_cases() in order.
+RECORD_DIGESTS = """
+    300c1946ae2adc72 263e87874f4a47c8 dd987e59d4d4575b e909c12d56dd2220 c525d953796331e0
+    87fbed3a1f06df3a 6808ded3848e9465 2b51b9738f01d507 eb96ee8073de768a 6712ff8b7a9651a6
+    ee2b7437660bca56 0174ecccebfeb17d 572639a41ff546e5 b95da75ce3060419 8f814481e77b38f6
+    9ace4432c7e81939 f5bb14b6117079ed 7fd834a3963e430e 8245d3b36fce9a27 bd8de9558491a673
+    ad1320f918acb2db 19a4e1d4a8c8d7c3 e8a3ff8de3d9e4b2 caa6671f1bb09a42 8c9f0d6c27475ab2
+    2edac31ab7c2357e 66f7f46f54e2d498 33f8f8ba6668425f cd94822ed835dd21 6d193045fee759af
+    e33b428e113af4cb b2014cbdfa614215 dfae5892ed7417b4 4930d3b6f4b3cc1f a67f8d0157df176b
+    56b90b9be17a4f52
+""".split()
+
+
+def test_records_match_pinned_digests():
+    cases = record_cases()
+    assert len(cases) == len(RECORD_DIGESTS) == 36
+    changed = [(kind, a, n) for (kind, a, n), want in zip(cases, RECORD_DIGESTS)
+               if records_digest(a, n) != want]
+    assert changed == []

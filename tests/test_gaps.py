@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import three_gap_closed_form
+from test_tournament import generator_kinds
 from torusgaps.gaps import chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
 from torusgaps.numerics import kronecker_instance
 
@@ -264,3 +266,65 @@ def test_gap_spectrum_matches_three_gap_closed_form_randomized():
 def test_three_gap_closed_form_refuses_coincident_points():
     with pytest.raises(ValueError):
         three_gap_closed_form(Fraction(3, 7), 7)
+
+
+def spectrum_cases():
+    """54 seeded constructions: three of each of the plain spectrum (n <= 300),
+    d <= 4 shifted copies (n_i <= 100) and two-generator sets (n1, n2 <= 30)
+    for each kind of ``generator_kinds``, every component of one kind."""
+    rng = random.Random(2323)
+    kinds = generator_kinds(rng)
+    cases = []
+    for kind in sorted(kinds):
+        draw = kinds[kind]
+        for _ in range(3):
+            cases.append((gap_spectrum, draw(), rng.randrange(1, 301)))
+            d = rng.randrange(1, 5)
+            cases.append((chung_graham_gaps, draw(), [draw() for _ in range(d)],
+                          [rng.randrange(1, 101) for _ in range(d)]))
+            cases.append((geelen_simpson_gaps, draw(), draw(), rng.randrange(1, 31),
+                          rng.randrange(1, 31)))
+    return cases
+
+
+def spectrum_digest(construct, *args):
+    """The first 16 hex digits of the sha256 of a construction's spectra in
+    both conventions: each repr followed by its points and labels."""
+    text = ""
+    for circular in (False, True):
+        spec = construct(*args, circular=circular)
+        text += repr(spec) + repr(spec.points) + repr(spec.labels)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# Spectra pinned before the shifted copies and two-generator sets were built
+# through ``numerics``, for the cases of spectrum_cases() in order.
+SPECTRUM_DIGESTS = """
+    e33133bc779190c9 e371c3ccb47eab24 9d0eb81a64e6a0f0 8a3d2d1afde442fe cde8fde920fff863
+    0740412e0468b452 bacaaf365dd4b926 b06681d44e360c49 767ffe8fe2e9dc14 6b28af99f41c8d1c
+    0ea192bc593f9a43 3166d5082f916c71 5eee7cad29b80c6b ed065fbe998b6c6b 92d11e0c848c526b
+    e3883903afbb53d4 c489d66303efed32 ab48e77e7efcecf7 9431d05f993fceff 6a3e873ec5955b26
+    8e6753185e0d6736 271b79d6aef22d82 def0b2da0ea74c3d 976104299325ff78 ba8c6cec99ec02cc
+    6c1bdf03f0b51453 cdb7bff3387f028c b45e0468bf75eef3 847f630bb8a54b4d 096dd5d763cf9b9e
+    19ecb54737a5c3a5 983a2251f38b1951 88c78fe1c63f419c 7f2f6561303a6744 6ed358e0d0711fa2
+    ec94323bffbe9a1d bb846693b355c3e0 c341283983cd79ed b185c387c1bacf09 fa36ff419d3d9406
+    3a978848711191db 8aa5480655de6569 f1db363245cca142 12eb742140869803 da8fc3d20dca7294
+    c4e4422b2467665d 70db3d4c541468d0 5066f9d34223932d fadd6fecf0ae96d4 86f869ab497cfdb1
+    21c88a058134fc2a be6413b02306b1d9 ff1421a49cffd6d8 7c1f01610f7f13a9
+""".split()
+
+
+def test_spectra_match_pinned_digests():
+    cases = spectrum_cases()
+    assert len(cases) == len(SPECTRUM_DIGESTS) == 54
+    changed = [case for case, want in zip(cases, SPECTRUM_DIGESTS)
+               if spectrum_digest(*case) != want]
+    assert changed == []
+
+
+def test_a_point_rounding_up_to_one_wraps_to_zero():
+    # -3e-17 mod 1 rounds to exactly 1.0: the circle guard puts that point
+    # at 0, so the spectrum stays on [0, 1) and its gaps sum to 1.
+    spec = gap_spectrum(-3e-17, 4, circular=True)
+    assert all(0.0 <= x < 1.0 for x in spec.points)
+    assert spec.gaps == [0.9999999999999999, 0.0, 0.0, 1.1102230246251565e-16]

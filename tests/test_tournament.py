@@ -667,16 +667,15 @@ PARITY_DIGESTS = """
 """.split()
 
 
-def parity_cases():
-    """90 seeded instances, n <= 300: five at each m = 1..3 of six kinds of
-    generator.  Small denominators come with n past them; the wide lattice
-    has L = 2**64 + 13 (a prime), past int64."""
-    rng = random.Random(1616)
+def generator_kinds(rng):
+    """The six kinds of generator of the pinned digests, each a function that
+    draws one component in (0, 1) from ``rng``.  The wide lattice has
+    L = 2**64 + 13 (a prime), past int64."""
 
     def rational(d):
         return Fraction(rng.randrange(1, d), d)
 
-    kinds = {
+    return {
         "float": lambda: rng.random(),
         "rational": lambda: rational(rng.randrange(2, 10_000)),
         "float_of_rational": lambda: float(rational(rng.randrange(2, 400))),
@@ -684,6 +683,13 @@ def parity_cases():
         "small_denominator": lambda: rational(rng.randrange(2, 13)),
         "wide_lattice": lambda: rational(2 ** 64 + 13),
     }
+
+
+def parity_cases():
+    """90 seeded instances, n <= 300: five at each m = 1..3 of each kind of
+    ``generator_kinds``.  Small denominators come with n past them."""
+    rng = random.Random(1616)
+    kinds = generator_kinds(rng)
     cases = []
     for kind in sorted(kinds):
         for m in (1, 2, 3):
