@@ -42,12 +42,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .numerics import (EPSILON, Instance, ceil_sqrt, clusters, kronecker_instance,
-                       tolerance)
+from .numerics import (EPSILON, Instance, as_reals, ceil_sqrt, clusters,
+                       kronecker_instance, tolerance)
 
 __all__ = [
     "ApproximationProfile",
@@ -124,21 +123,16 @@ class _Table:
     through ``record``."""
 
     def __init__(self, inst: Instance, epsilon: float):
-        self.exact = inst.exact
-        self.tol = tolerance(epsilon, self.exact)
+        self.tol = tolerance(epsilon, inst.exact)
         self.points, self.unit = inst.points, inst.unit
         self.keys, self.lengths = inst.keys, inst.lengths
         dev = 2 * inst.points - inst.unit
         self.pos = (dev >= -2 * self.tol) & (dev < inst.unit - 2 * self.tol)
 
     def record(self, q: int) -> DenominatorRecord:
-        """Row q: deviations x - 1/2 of its points (x/L - 1/2 on the lattice)."""
-        row = self.points[q - 1].tolist()
-        if self.exact:
-            L = self.unit
-            devs = tuple(Fraction(2 * x - L, 2 * L) for x in row)
-        else:
-            devs = tuple(x - 0.5 for x in row)
+        """Row q: deviations x - 1/2 of its points, read back as twice the
+        deviation over twice the unit (scaling by 2 is exact on floats)."""
+        devs = tuple(as_reals(2 * self.points[q - 1] - self.unit, 2 * self.unit))
         signs = "".join("+" if p else "-" for p in self.pos[q - 1])
         return DenominatorRecord(q, devs, signs, self.length(q), _angle(devs))
 

@@ -16,24 +16,24 @@ everywhere via ``circular=``; the defaults follow each construction's
 natural reading (linear for the single-sequence spectrum, circular for the
 generalisations, whose point sets contain 0).
 
-Both numeric modes share one array path; ``gap_spectrum`` reads its points
-from ``numerics.kronecker_points``.  Floating inputs give float64 points in
-[0, 1).  Exact inputs (ints and Fractions) are put on the integer
-lattice Z/L, L the common denominator, with the same int64-or-object rule
-as the Kronecker instance; points, gaps and distinct gaps are exact
-integers there and come back as Fractions over L.  Stable sorting keeps
-ties in label order in both modes.
+Every point set is built in ``numerics``: ``gap_spectrum`` reads
+``kronecker_points``, and the generalisations ``wrap`` integer
+combinations of ``circle_steps``, after their point counts pass the size
+rule.  Floating inputs give float64 points in [0, 1); exact inputs (ints
+and Fractions) give exact integers on the lattice Z/L, which ``as_reals``
+reads back as Fractions over L.  Stable sorting keeps ties in label order
+in both modes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .numerics import (EPSILON, Real, clusters, coerce_components, frac_array,
-                       kronecker_points, lattice, tolerance)
+from .numerics import (EPSILON, Real, as_reals, circle_steps, clusters,
+                       coerce_components, kronecker_points, points_fit, tolerance,
+                       too_large, wrap)
 
 __all__ = ["GapSpectrum", "gap_spectrum", "chung_graham_gaps", "geelen_simpson_gaps"]
 
@@ -84,12 +84,9 @@ def _assemble(points: np.ndarray, labels: list, epsilon: float,
     tol = tolerance(epsilon, exact)
     order, starts = clusters(gaps, tol)
     distinct = gaps[order[starts[:-1]]]  # each cluster's minimum
-    distinct = distinct[distinct > tol].tolist()
-    pts, gaps = pts.tolist(), gaps.tolist()
-    if exact:
-        pts, gaps, distinct = ([Fraction(x, unit) for x in xs]
-                               for xs in (pts, gaps, distinct))
-    return GapSpectrum(pts, labs, gaps, distinct, circular, exact)
+    distinct = distinct[distinct > tol]
+    return GapSpectrum(as_reals(pts, unit), labs, as_reals(gaps, unit),
+                       as_reals(distinct, unit), circular, exact)
 
 
 def gap_spectrum(alpha: Real, n: int, *, epsilon: float = EPSILON,
@@ -117,18 +114,13 @@ def chung_graham_gaps(alpha: Real, lambdas: list, n_list: list[int], *,
         raise ValueError("lambdas and n_list must have equal length")
     if any(n < 1 for n in n_list):
         raise ValueError("every n_i must be >= 1")
-    comps, exact = coerce_components([alpha, *lambdas])
+    if not points_fit(sum(n_list), 1):
+        raise too_large(sum(n_list), 1, "points")
+    steps, unit = circle_steps(*coerce_components([alpha, *lambdas]))
     labels = [(i + 1, k) for i, n in enumerate(n_list) for k in range(1, n + 1)]
-    if exact:
-        L, (p, *shifts), dtype = lattice(comps)
-        points = np.array([(k * p + shifts[i - 1]) % L for i, k in labels], dtype=dtype)
-        return _assemble(points, labels, epsilon, circular, L)
-    a, lams = comps[0], comps[1:]
-    points = np.concatenate([
-        frac_array(np.arange(1, n + 1, dtype=float) * a + lam)
-        for lam, n in zip(lams, n_list)
-    ])
-    return _assemble(points, labels, epsilon, circular, 1.0)
+    points = wrap(np.concatenate([np.arange(1, n + 1) * steps[:1] + steps[i + 1]
+                                  for i, n in enumerate(n_list)]), unit)
+    return _assemble(points, labels, epsilon, circular, unit)
 
 
 def geelen_simpson_gaps(alpha: Real, beta: Real, n1: int, n2: int, *,
@@ -141,12 +133,9 @@ def geelen_simpson_gaps(alpha: Real, beta: Real, n1: int, n2: int, *,
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("n1 and n2 must be >= 1")
-    (a, b), exact = coerce_components([alpha, beta])
+    if not points_fit(n1 * n2, 1):
+        raise too_large(n1 * n2, 1, "points")
+    steps, unit = circle_steps(*coerce_components([alpha, beta]))
     labels = [(k1, k2) for k1 in range(n1) for k2 in range(n2)]
-    if exact:
-        L, (p, r), dtype = lattice([a, b])
-        points = np.array([(k1 * p + k2 * r) % L for k1, k2 in labels], dtype=dtype)
-        return _assemble(points, labels, epsilon, circular, L)
-    grid = (np.arange(n1, dtype=float) * a)[:, None] + (np.arange(n2, dtype=float) * b)[None, :]
-    points = frac_array(grid).ravel()
-    return _assemble(points, labels, epsilon, circular, 1.0)
+    grid = np.arange(n1)[:, None] * steps[:1] + np.arange(n2)[None, :] * steps[1:]
+    return _assemble(wrap(grid, unit).ravel(), labels, epsilon, circular, unit)

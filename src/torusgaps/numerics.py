@@ -1,5 +1,5 @@
-"""Shared numeric plumbing: dual-mode coercion, the integer lattice and the
-Kronecker instance on it, the one size rule (``points_fit`` and
+"""Shared numeric plumbing: dual-mode coercion, the circle in both modes
+and the Kronecker instance on it, the one size rule (``points_fit`` and
 ``edges_fit``, checked before anything is allocated, and
 ``survivors_fit``, checked as the sweep finds survivors), the one
 tolerance rule, the one clustering rule, integer roots.
@@ -13,11 +13,14 @@ Every quantity in this package lives in one of two numeric modes:
   points are then stored as integers on the lattice Z/L, L the common
   denominator, so exact arithmetic runs on integer arrays, not Fractions.
 
-The Kronecker point set is built in one place: ``kronecker_points`` writes
-out the points of k = 1..n, and ``kronecker_instance``, the one constructor
-of an ``Instance``, adds each difference's key and length, all as arrays.
-The survivor engines, the denominator table, the gap spectrum and the SVG
-rendering read these instead of repeating the formula.
+Every point set is built in one place, which alone knows the two circles
+(float [0, 1) and the lattice Z/L): ``circle_steps`` puts components on
+the circle, ``wrap`` reduces integer combinations of them onto it and
+``as_reals`` reads circle values back as floats or Fractions.
+``kronecker_points`` writes out the points of k = 1..n, and
+``kronecker_instance``, the one constructor of an ``Instance``, adds each
+difference's key and length, all as arrays.  The survivor engines, the
+denominator table, the gap spectra and the SVG rendering read these.
 
 ``clusters`` is the package's only grouping rule for values that compare
 equal at the working tolerance: survivor length groups, distinct gaps and
@@ -39,17 +42,6 @@ Real = Union[int, float, Fraction]
 
 # The default comparison tolerance of floating mode.
 EPSILON = 1e-9
-
-
-def frac_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise fractional part in [0, 1).
-
-    np.mod(x, 1.0) can round to exactly 1.0 for inputs just below an
-    integer; those wrap to 0.0 so every value is a valid circle point.
-    """
-    f = np.mod(x, 1.0)
-    f[f >= 1.0] = 0.0
-    return f
 
 
 def coerce_components(values: Sequence[Real]) -> tuple[list[Real], bool]:
@@ -135,30 +127,50 @@ class Instance:
         return self.points.dtype.kind != "f"
 
 
-def lattice(comps: list[Fraction]) -> tuple[int, list[int], type]:
-    """Exact components on the integer lattice Z/L: L the lcm of the
-    denominators, each a_r as its residue p_r = a_r L mod L, and the array
-    element type that keeps residues and their differences exact."""
+def circle_steps(comps: list[Real], exact: bool) -> tuple[np.ndarray, float | int]:
+    """(steps, unit): coerced components as a float64 array with unit 1.0,
+    or as an object array of the residues p_r = a_r L mod L with unit L,
+    the lcm of the denominators.  Object steps keep integer combinations
+    of them exact at any L."""
+    if not exact:
+        return np.array(comps, dtype=float), 1.0
     L = math.lcm(*(a.denominator for a in comps))
-    steps = [a.numerator * (L // a.denominator) % L for a in comps]
-    return L, steps, np.int64 if L < _INT64_LATTICE else object
+    return np.array([a.numerator * (L // a.denominator) % L for a in comps],
+                    dtype=object), L
+
+
+def wrap(x: np.ndarray, unit: float | int) -> np.ndarray:
+    """Combinations of steps reduced onto the circle of length ``unit``.
+    Floats land in [0, 1): np.mod can round to exactly 1.0 just below an
+    integer, and such a point is 0.  Lattice values land in [0, L), as
+    int64 below _INT64_LATTICE."""
+    if isinstance(unit, float):
+        f = np.mod(x, unit)
+        f[f >= unit] = 0.0
+        return f
+    x = x % unit
+    return x.astype(np.int64) if unit < _INT64_LATTICE else x
+
+
+def as_reals(values: np.ndarray, unit: float | int) -> list:
+    """Circle values read back as reals: floats divided by the unit, lattice
+    integers as the Fractions x / L."""
+    if isinstance(unit, float):
+        return (values / unit).tolist()
+    return [Fraction(x, unit) for x in values.tolist()]
 
 
 def kronecker_points(comps: list[Real], exact: bool,
                      n: int) -> tuple[np.ndarray, float | int]:
-    """(points, unit): the (n, m) Kronecker points of k = 1..n for coerced
-    components, floats in [0, 1) with unit 1.0, or lattice residues
-    k p_r mod L with unit L.  n must be >= 1 and pass the size rule."""
+    """(points, unit): the (n, m) Kronecker points {k a_r} of k = 1..n for
+    coerced components, as ``wrap`` leaves them.  n must be >= 1 and pass
+    the size rule."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not points_fit(n, len(comps)):
         raise too_large(n, len(comps), "points")
-    k = np.arange(1, n + 1)[:, None]
-    if not exact:
-        return frac_array(k * np.asarray(comps, dtype=float)[None, :]), 1.0
-    L, steps, dtype = lattice(comps)
-    points = k.astype(object) * np.array(steps, dtype=object)[None, :] % L
-    return points.astype(dtype, copy=False), L
+    steps, unit = circle_steps(comps, exact)
+    return wrap(np.arange(1, n + 1)[:, None] * steps, unit), unit
 
 
 def kronecker_instance(alphas: Sequence[Real], n: int) -> Instance:

@@ -246,16 +246,12 @@ def _axis_components(pj: np.ndarray, pk: np.ndarray, unit, shrink):
     the points' element type; components that are empty (or vanish under
     shrinking) carry the sentinel 2*unit, so they never register an
     overlap in vectorized comparisons."""
-    # Scalars of the unit's own type keep np.where on its fast paths.
-    zero, sent, top = 0 * unit, 2 * unit, unit - shrink
-    if pj.dtype == object:  # two Python-int scalars would select int64
-        top = np.asarray(top, dtype=object)
-    # The arc wraps when 2 (hi - lo) > unit: hi - lo > 1/2 on floats, and
-    # hi - lo > floor(L/2) on the lattice, where hi - lo is an integer.
-    half = unit / 2 if isinstance(unit, float) else unit // 2
+    # Scalars of the points' own element type keep np.where on its fast paths.
+    zero, sent, top = (np.asarray(v, dtype=pj.dtype)
+                       for v in (0 * unit, 2 * unit, unit - shrink))
     lo = np.minimum(pj, pk)
     hi = np.maximum(pj, pk)
-    wrap = (hi - lo) > half
+    wrap = 2 * (hi - lo) > unit
     c1s = np.where(wrap, zero, lo) + shrink
     c1e = np.where(wrap, lo, hi) - shrink
     c2s = np.where(wrap, hi + shrink, sent)

@@ -4,11 +4,14 @@ Sayward, "Hints on test data selection", IEEE Computer 11(4), 1978).
 
 A family is a function of a module that returns the instances on which the
 module answers wrongly; on the package itself every family returns none.
-A mutant is one family, one exact snippet of the source of the module that
-family reads, and the snippet's replacement.  It is compiled from the
-mutated source into a fresh module of the package, so its relative imports
-reach the real ``numerics``, and is registered in ``sys.modules`` while it
-executes, since dataclasses look their module up there.
+A mutant is one family, the module it plants its fault in, one exact
+snippet of that module's source, and the snippet's replacement.  It is
+compiled from the mutated source into a fresh module of the package, so its
+relative imports reach the real ``numerics``, and is registered in
+``sys.modules`` while it executes, since dataclasses look their module up
+there.  A fault planted in ``numerics`` reaches the family's module through
+a fresh copy of that module, compiled while the mutated ``numerics`` stands
+in for the real one in ``sys.modules``.
 
 A snippet that no longer occurs exactly once fails its test: a refactor of
 the engines updates the catalogue with them.  A mutant that its family does
@@ -101,6 +104,14 @@ def profile_follows_reference(d):
     return bad
 
 
+def points_on_the_circle(cases):
+    """The circular spectrum's points lie in [0, 1)."""
+    def family(g):
+        return [(a, n) for a, n in cases
+                if not all(0 <= x < 1 for x in g.gap_spectrum(a, n, circular=True).points)]
+    return family
+
+
 # Each family with the module it reads.
 FAMILIES = {
     "generic": ("tournament", sweep_equals_brute(_seeded_instances(15, 40, 3, 40))),
@@ -110,90 +121,127 @@ FAMILIES = {
     "wide_lattices": ("tournament",
                       follow_reference([(a, 12) for a, _ in LATTICE_CASES.values()])),
     "profile_reference": ("denominators", profile_follows_reference),
+    # -3e-17 mod 1 rounds to exactly 1.0.
+    "circle_guard": ("gaps", points_on_the_circle([(-3e-17, 4)])),
 }
 
-# name: (the family that must kill it, snippet, replacement).
+# name: (the family that must kill it, the module it is planted in, snippet,
+# replacement).
 MUTANTS = {
     # tournament._Cells.query: a wrapped arc compared with 0, not its axis total.
     "query_without_wrapped_totals": (
-        "generic",
+        "generic", "tournament",
         "return inside != np.where(wrap, self.total, 0)",
         "return inside != 0"),
     # tournament._Cells.insert: wrapped arcs not closed over their axis's live cells.
     "insert_without_first_last": (
-        "generic",
+        "generic", "tournament",
         "        depth[self.first] += wrapped\n        depth[self.last] -= wrapped\n",
         ""),
     # tournament._sweep: each q inserted before the rest of its group is judged.
     "insert_each_q_before_its_group_is_judged": (
-        "generic",
+        "generic", "tournament",
         "            undefeated = np.flatnonzero(~cells.query(*arcs).any(axis=0))\n",
         "            undefeated = np.flatnonzero(~cells.query(*arcs).any(axis=0))\n"
         "            cells.insert(*arcs)\n"),
     # tournament._brute: the first edge of an edge's own group counted as a defeater.
     "brute_prefix_mask_le": (
-        "generic",
+        "generic", "tournament",
         "hit &= np.arange(c0, c1) < prefix[rows, None]",
         "hit &= np.arange(c0, c1) <= prefix[rows, None]"),
     # tournament._brute: closed instead of half-open overlap.
     "brute_closed_overlap": (
-        "generic",
+        "generic", "tournament",
         "hit |= ((a < oe) & (os < b)).any(axis=(0, 1))",
         "hit |= ((a <= oe) & (os <= b)).any(axis=(0, 1))"),
     # tournament._rank_space: the shrunk end x - shrink read as the start x + shrink.
     "end_ranks_are_start_ranks": (
-        "near_degenerate",
+        "near_degenerate", "tournament",
         "S[r], E[r] = rank[:n], rank[n:2 * n]",
         "S[r], E[r] = rank[:n], rank[:n]"),
     # tournament._arcs: a wrapped arc's lo taken from the shrunk starts.
     "wrapped_lo_from_starts": (
-        "near_degenerate",
+        "near_degenerate", "tournament",
         "lo = np.where(wrap, np.minimum(ej, ek), np.minimum(sj, sk))",
         "lo = np.where(wrap, np.minimum(sj, sk), np.minimum(sj, sk))"),
     # tournament._arcs: crossed shrunk ends kept as a reversed range.
     "reversed_ranges_kept": (
-        "floats_of_rationals",
+        "floats_of_rationals", "tournament",
         "return lo, np.maximum(lo, hi), wrap",
         "return lo, hi, wrap"),
     # tournament._arcs: the wrap test non-strict, so a half coordinate wraps.
     "wrap_at_half": (
-        "half_coordinates",
+        "half_coordinates", "tournament",
         "wrap = 2 * np.abs(X[..., j] - X[..., k]) > unit",
         "wrap = 2 * np.abs(X[..., j] - X[..., k]) >= unit"),
     # tournament._judging: an exact shrink of 0.0, which turns lattice residues
     # into floats (object arrays of Python ints into Python floats).
     "float_shrink_on_the_lattice": (
-        "wide_lattices",
+        "wide_lattices", "tournament",
         "shrink = tol / 2 if tol else tol",
         "shrink = tol / 2"),
     # denominators._Table: a deviation of exactly 0 read as '-'.
     "sign_of_zero_deviation": (
-        "profile_reference",
+        "profile_reference", "denominators",
         "dev >= -2 * self.tol",
         "dev > -2 * self.tol"),
     # denominators._Table: a point within epsilon below 1 not read as 0.
     "sign_without_upper_guard": (
-        "profile_reference",
+        "profile_reference", "denominators",
         "dev < inst.unit - 2 * self.tol",
         "dev < inst.unit"),
+    # tournament._axis_components: the brute force's wrap test non-strict.
+    "brute_wrap_at_half": (
+        "half_coordinates", "tournament",
+        "wrap = 2 * (hi - lo) > unit",
+        "wrap = 2 * (hi - lo) >= unit"),
+    # numerics.wrap: a float rounding to 1.0 left off the circle.
+    "wrap_without_circle_guard": (
+        "circle_guard", "numerics",
+        "        f[f >= unit] = 0.0\n",
+        ""),
+    # numerics.clusters: equal lengths split, so equal edges defeat each other.
+    "clusters_break_at_tolerance": (
+        "half_coordinates", "numerics",
+        "brk[1:-1] = ranked[1:] - ranked[:-1] > tol",
+        "brk[1:-1] = ranked[1:] - ranked[:-1] >= tol"),
 }
 
 
-def mutant(name: str, snippet: str, replacement: str) -> types.ModuleType:
-    """The package module ``name`` compiled from its source with ``snippet``
-    (which must occur exactly once) replaced."""
+def _source(name: str) -> tuple[Path, str]:
     path = Path(importlib.import_module(f"torusgaps.{name}").__file__)
-    source = path.read_text(encoding="utf-8")
-    assert source.count(snippet) == 1, f"the catalogue's snippet is stale: {snippet!r}"
+    return path, path.read_text(encoding="utf-8")
+
+
+def _compiled(name: str, path: Path, source: str) -> types.ModuleType:
     module = types.ModuleType(f"torusgaps._mutant_{name}")
     module.__package__ = "torusgaps"
     sys.modules[module.__name__] = module
     try:
-        exec(compile(source.replace(snippet, replacement), str(path), "exec"),
-             module.__dict__)
+        exec(compile(source, str(path), "exec"), module.__dict__)
     finally:
         del sys.modules[module.__name__]
     return module
+
+
+def mutant(name: str, snippet: str, replacement: str,
+           reader: str | None = None) -> types.ModuleType:
+    """The package module ``name`` compiled from its source with ``snippet``
+    (which must occur exactly once) replaced; or, given ``reader``, the
+    package module ``reader`` compiled while that mutant stands in for
+    ``name`` in ``sys.modules``."""
+    path, source = _source(name)
+    assert source.count(snippet) == 1, f"the catalogue's snippet is stale: {snippet!r}"
+    module = _compiled(name, path, source.replace(snippet, replacement))
+    if reader is None or reader == name:
+        return module
+    reader_path, reader_source = _source(reader)  # imported before the swap
+    real = sys.modules[f"torusgaps.{name}"]
+    sys.modules[real.__name__] = module
+    try:
+        return _compiled(reader, reader_path, reader_source)
+    finally:
+        sys.modules[real.__name__] = real
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -204,9 +252,10 @@ def test_families_pass_on_the_package(family):
 
 @pytest.mark.parametrize("mutation", sorted(MUTANTS))
 def test_mutant_is_killed_by_its_family(mutation):
-    family, snippet, replacement = MUTANTS[mutation]
+    family, planted_in, snippet, replacement = MUTANTS[mutation]
     name, check = FAMILIES[family]
-    assert check(mutant(name, snippet, replacement)), f"{mutation} survives {family}"
+    assert check(mutant(planted_in, snippet, replacement, name)), \
+        f"{mutation} survives {family}"
 
 
 def test_a_stale_snippet_fails():

@@ -14,7 +14,7 @@ from reference import (circle_norm, geodesic, reference_survivors, single_linkag
                        three_gap_closed_form)
 from torusgaps import tournament
 from torusgaps.denominators import approximation_profile
-from torusgaps.gaps import _assemble, gap_spectrum
+from torusgaps.gaps import _assemble, chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
 from torusgaps import numerics
 from torusgaps.numerics import (Instance, clusters, coerce_components, edges_fit,
                                 kronecker_instance, points_fit, survivors_fit)
@@ -135,7 +135,11 @@ def test_brute_edge_rule_replaces_the_cap():
     lambda: gap_spectrum(Fraction(1, 3), 10 ** 12),
     lambda: survivors_brute([0.3], first_unfit(edges_fit, 1)),
     lambda: survivors_brute([0.3, 0.2, 0.1], first_unfit(edges_fit, 3)),
-], ids=["sweep", "sweep_exact", "profile", "gaps", "gaps_exact", "brute_m1", "brute_m3"])
+    lambda: chung_graham_gaps(0.3, [0.1, 0.2], [1, first_unfit(points_fit, 1)]),
+    lambda: geelen_simpson_gaps(0.3, 0.4, 10 ** 5, 10 ** 5),
+    lambda: geelen_simpson_gaps(Fraction(1, 3), Fraction(2, 7), 10 ** 5, 10 ** 5),
+], ids=["sweep", "sweep_exact", "profile", "gaps", "gaps_exact", "brute_m1", "brute_m3",
+        "shifted_copies", "two_generators", "two_generators_exact"])
 def test_size_rule_refuses_before_allocating(call):
     tracemalloc.start()
     try:
