@@ -114,8 +114,9 @@ def chung_graham_gaps(alpha: Real, lambdas: list, n_list: list[int], *,
         raise ValueError("lambdas and n_list must have equal length")
     if any(n < 1 for n in n_list):
         raise ValueError("every n_i must be >= 1")
-    if not points_fit(sum(n_list), 1):
-        raise too_large(sum(n_list), 1, "points")
+    total = sum(n_list)
+    if not points_fit(total, 1):
+        raise too_large(total, 1, "points")
     steps, unit = circle_steps(*coerce_components([alpha, *lambdas]))
     labels = [(i + 1, k) for i, n in enumerate(n_list) for k in range(1, n + 1)]
     points = wrap(np.concatenate([np.arange(1, n + 1) * steps[:1] + steps[i + 1]
