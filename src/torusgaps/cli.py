@@ -1,9 +1,10 @@
 """Command-line surface: gap spectra, survivor sets, denominator tables,
 verification suites, and config-driven sweeps.
 
-Exit codes follow one contract everywhere: 0 all good, 1 usage, config or
-file error, 2 a checked bound was violated (or the two engines disagreed),
-with the witness printed.
+Exit codes follow one contract in every command and format: 0 all good,
+1 usage, config or file error, 2 a checked bound was violated or the two
+engines disagreed.  gaps, survivors and denominators write one
+``BOUND VIOLATION`` line on stderr per violated bound.
 
 Generator components parse as decimal reals or exact fractions ``p/q``;
 when every component is a fraction the computation runs in exact rational
@@ -29,19 +30,13 @@ from .experiments import (
     run_sweep,
     verify_suite,
 )
-from .gaps import gap_spectrum
+from .gaps import THREE_GAP_BOUND, gap_spectrum
 from .numerics import EPSILON, Real, kronecker_instance, valid_epsilon
 from .svgplot import render_survivors_svg
 from .tournament import survivor_bound, survivors_brute, survivors_sweep
 
 USAGE_ERROR = 1
 VIOLATION = 2
-
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,19 +51,17 @@ class _Parser(argparse.ArgumentParser):
 def parse_real(text: str, exact: bool = False) -> Real:
     t = text.strip()
     try:
-        if "/" in t:
-            return Fraction(t)
-        if exact:
+        if exact or "/" in t:
             return Fraction(t)
         return float(t)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"cannot parse real number {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse real number {text!r}: {exc}") from exc
 
 
 def parse_alphas(text: str, exact: bool = False) -> list[Real]:
     items = [s for s in text.split(",") if s.strip()]
     if not items:
-        raise CliError("empty generator vector")
+        raise ValueError("empty generator vector")
     values = [parse_real(s, exact) for s in items]
     kinds = {isinstance(v, Fraction) for v in values}
     if kinds == {True, False}:
@@ -94,6 +87,15 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
     writer = _csv.writer(sys.stdout)
     writer.writerow(header)
     writer.writerows(rows)
+
+
+def _bound_status(checks) -> int:
+    """Exit code of (check, value, bound) rows: one stderr line per value
+    above its bound, and VIOLATION if there is any."""
+    failed = [row for row in checks if row[1] > row[2]]
+    for check, value, bound in failed:
+        print(f"BOUND VIOLATION: {check}: {value} > {bound}", file=sys.stderr)
+    return VIOLATION if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +136,7 @@ def cmd_gaps(args) -> int:
         print("distinct gap values:",
               " ".join(fmt_real(g) for g in spectrum.distinct_gaps),
               f"(count {spectrum.distinct_count})")
-    if args.assert_bound and spectrum.distinct_count > 3:
-        print(f"BOUND VIOLATION: {spectrum.distinct_count} distinct gaps > 3 "
-              f"for alpha={fmt_real(alpha)}, n={args.n}", file=sys.stderr)
-        return VIOLATION
-    return 0
+    return _bound_status([("distinct gaps", spectrum.distinct_count, THREE_GAP_BOUND)])
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ def _print_survivors(report, alphas, n: int) -> None:
 def cmd_survivors(args) -> int:
     alphas = parse_alphas(args.alphas, args.exact)
     if args.svg and len(alphas) != 2:
-        raise CliError("--svg requires exactly two generator components (m = 2)")
+        raise ValueError("--svg requires exactly two generator components (m = 2)")
     reports = []
     if args.mode in ("sweep", "both"):
         reports.append(survivors_sweep(alphas, args.n, epsilon=args.epsilon))
@@ -206,14 +204,8 @@ def cmd_survivors(args) -> int:
         render_survivors_svg(alphas, args.n, reports[0], args.svg)
         if args.format == "table":
             print(f"wrote {args.svg}")
-    if args.assert_bound:
-        bound = survivor_bound(len(alphas))
-        for r in reports:
-            if r.distinct_count > bound:
-                print(f"BOUND VIOLATION: |S|={r.distinct_count} > {bound} for "
-                      f"alphas=({args.alphas}), n={args.n}", file=sys.stderr)
-                return VIOLATION
-    return 0
+    return _bound_status([(f"{r.mode} distinct survivor lengths", r.distinct_count,
+                           survivor_bound(len(alphas))) for r in reports])
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +229,6 @@ def cmd_denominators(args) -> int:
     profile = _profile(table)
     checks = [(_CHECK_LABELS[name], value, bound)
               for name, value, bound in profile_checks(profile)]
-    failed = any(value > bound for _, value, bound in checks)
 
     if args.format == "json":
         _emit_json({
@@ -259,7 +250,7 @@ def cmd_denominators(args) -> int:
                 {"name": name, "value": value, "bound": bound, "ok": value <= bound}
                 for name, value, bound in checks
             ],
-            "passed": not failed,
+            "passed": all(value <= bound for _, value, bound in checks),
         })
     elif args.format == "csv":
         roles = {}
@@ -301,7 +292,7 @@ def cmd_denominators(args) -> int:
         for name, value, bound in checks:
             tag = "PASS" if value <= bound else "FAIL"
             print(f"{tag}  {name}: {value} <= {bound}")
-    return VIOLATION if failed else 0
+    return _bound_status(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +382,6 @@ def build_parser() -> _Parser:
     p.add_argument("n", type=int)
     p.add_argument("--circular", action="store_true",
                    help="circular gap convention instead of linear")
-    p.add_argument("--assert-bound", action="store_true",
-                   help="exit 2 if more than three distinct gaps appear")
     p.set_defaults(func=cmd_gaps)
 
     p = sub.add_parser("survivors", parents=[instance],
@@ -401,8 +390,6 @@ def build_parser() -> _Parser:
     p.add_argument("n", type=int)
     p.add_argument("--mode", choices=("sweep", "brute", "both"), default="sweep")
     p.add_argument("--svg", metavar="PATH", help="render the m=2 instance to SVG")
-    p.add_argument("--assert-bound", action="store_true",
-                   help="exit 2 if |S| exceeds the dimension bound")
     p.set_defaults(func=cmd_survivors)
 
     p = sub.add_parser("denominators", parents=[instance],
@@ -436,9 +423,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"torusgaps: error: {exc}", file=sys.stderr)
-        return exc.code
     except ConfigError as exc:
         print(f"torusgaps: config error: {exc}", file=sys.stderr)
         return USAGE_ERROR

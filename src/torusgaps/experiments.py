@@ -37,9 +37,9 @@ import numpy as np
 
 from .denominators import (approximation_profile, primary_count_bound,
                            profile_checks, undercut_bound)
-from .gaps import chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
-from .numerics import (EPSILON, Real, edges_fit, points_fit, tolerance, too_large,
-                       valid_epsilon)
+from .gaps import THREE_GAP_BOUND, chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
+from .numerics import (EPSILON, Real, coerce_components, edges_fit, points_fit,
+                       records_fit, tolerance, too_large, valid_epsilon)
 from .tournament import survivor_bound, survivors_brute, survivors_sweep
 
 __all__ = [
@@ -163,7 +163,16 @@ def _keys(cls) -> set[str]:
     return {f.name for f in fields(cls)}  # a config object's keys are its fields
 
 
-def _parse_source(d: dict, m: int):
+def _reduced_fractions(d: int) -> int:
+    """phi(2) + ... + phi(d), the rational grid's size, by a totient sieve."""
+    phi = np.arange(d + 1)
+    for p in range(2, d + 1):
+        if phi[p] == p:  # p is prime: each multiple keeps (p - 1)/p of its phi
+            phi[p::p] -= phi[p::p] // p
+    return int(phi[2:].sum())
+
+
+def _parse_source(d: dict, m: int, n_count: int):
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("alpha_source must be an object with a 'kind'",
                           ["alpha_source"])
@@ -177,9 +186,9 @@ def _parse_source(d: dict, m: int):
                           [f"alpha_source.{k}" for k in sorted(extra)])
     if cls is UniformRandom:
         trials = d.get("trials")
-        if not _is_number(trials, int) or trials < 1:
-            raise ConfigError("uniform_random needs a positive integer 'trials'",
-                              ["alpha_source.trials"])
+        if not _is_number(trials, int) or trials < 1 or not records_fit(trials):
+            raise ConfigError("uniform_random needs 1 <= trials within the memory "
+                              "budget", ["alpha_source.trials"])
         return UniformRandom(trials=trials)
     if cls is QuadraticIrrationals:
         catalog = d.get("catalog", list(QUADRATIC_IRRATIONALS))
@@ -192,9 +201,12 @@ def _parse_source(d: dict, m: int):
         return QuadraticIrrationals(catalog=list(catalog))
     if cls is RationalGrid:
         md = d.get("max_denominator")
-        if not _is_number(md, int) or md < 2:
-            raise ConfigError("rational_grid needs max_denominator >= 2",
-                              ["alpha_source.max_denominator"])
+        # A grid holds at least md - 1 fractions, so a larger md fails before
+        # the sieve; it holds 1 or >= 3, and 3 ** 64 tuples already fail.
+        if (not _is_number(md, int) or md < 2 or not records_fit(md - 1)
+                or not records_fit(n_count * _reduced_fractions(md) ** min(m, 64))):
+            raise ConfigError("rational_grid needs 2 <= max_denominator within the "
+                              "memory budget", ["alpha_source.max_denominator"])
         return RationalGrid(max_denominator=md)
     alphas = d.get("alphas")
     if not isinstance(alphas, list) or not alphas:
@@ -202,10 +214,14 @@ def _parse_source(d: dict, m: int):
                           ["alpha_source.alphas"])
     rows = []
     for i, row in enumerate(alphas):
+        key = f"alpha_source.alphas[{i}]"
         if not isinstance(row, list) or len(row) != m:
-            raise ConfigError(f"alphas[{i}] must be a list of m components",
-                              [f"alpha_source.alphas[{i}]"])
-        rows.append([_parse_component(v, f"alpha_source.alphas[{i}]") for v in row])
+            raise ConfigError(f"alphas[{i}] must be a list of m components", [key])
+        rows.append([_parse_component(v, key) for v in row])
+        try:  # the engines' own rule: NaN and infinite components are refused
+            coerce_components(rows[-1])
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(str(exc), [key]) from exc
     return Explicit(alphas=rows)
 
 
@@ -241,7 +257,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         raise ConfigError("invalid config values", offending)
     return ExperimentConfig(
         m=m,
-        alpha_source=_parse_source(d["alpha_source"], m),
+        alpha_source=_parse_source(d["alpha_source"], m, len(n_values)),
         n_values=list(n_values),
         epsilon=float(epsilon),
         seed=seed,
@@ -300,7 +316,7 @@ def _enumerate_trials(config: ExperimentConfig) -> Iterator[tuple[int, list, int
     elif isinstance(src, RationalGrid):
         fracs = [Fraction(p, q) for q in range(2, src.max_denominator + 1)
                  for p in range(1, q) if gcd(p, q) == 1]
-        tuples = list(itertools.product(fracs, repeat=config.m))
+        tuples = itertools.product(fracs, repeat=config.m)
     else:
         tuples = [tuple(row) for row in src.alphas]
     i = 0
@@ -583,7 +599,7 @@ def _suite_one_d(trials: int, seed: int, epsilon: float, max_n: int) -> VerifyRe
                                                                 epsilon)):
         spectrum = gap_spectrum(alpha, n, epsilon=epsilon)
         worst = max(worst, spectrum.distinct_count)
-        if spectrum.distinct_count > 3:
+        if spectrum.distinct_count > THREE_GAP_BOUND:
             violations += 1
     res.check(f"three-gap bound over {trials} trials", violations == 0,
               max_distinct=worst, violations=violations)
@@ -750,8 +766,10 @@ def dual_mode_agreement(instances: int = 200, *, seed: int = 0,
     approximation profile: q1, both q2 variants, the q1_perp pool, the
     primary and secondary denominators with their signs, the undercut count
     and both distinct-length counts."""
-    if instances < 1:
-        raise ValueError(f"instances must be >= 1, got {instances}")
+    for name, value, least in (("instances", instances, 1), ("max_n", max_n, 5),
+                               ("max_denominator", max_denominator, 2)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     report = CrossCheckReport()
     for i in range(instances):
         rng = _trial_rng(seed, i)

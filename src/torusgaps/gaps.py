@@ -37,6 +37,9 @@ from .numerics import (EPSILON, Real, as_reals, circle_steps, clusters,
 
 __all__ = ["GapSpectrum", "gap_spectrum", "chung_graham_gaps", "geelen_simpson_gaps"]
 
+# The three distance theorem: {k a}, k = 1..n, has at most three distinct gaps.
+THREE_GAP_BOUND = 3
+
 
 @dataclass
 class GapSpectrum:

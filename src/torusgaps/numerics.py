@@ -1,8 +1,8 @@
 """Shared numeric plumbing: dual-mode coercion, the circle in both modes
 and the Kronecker instance on it, the one size rule (``points_fit`` and
-``edges_fit``, checked before anything is allocated, and
-``survivors_fit``, checked as the sweep finds survivors), the one
-tolerance rule, the one clustering rule, integer roots.
+``edges_fit``, checked before anything is allocated, ``survivors_fit``,
+checked as the sweep finds survivors, and ``records_fit``, checked at config
+load), the one tolerance rule, the one clustering rule, integer roots.
 
 Every quantity in this package lives in one of two numeric modes:
 
@@ -66,12 +66,14 @@ def coerce_components(values: Sequence[Real]) -> tuple[list[Real], bool]:
 
 # The size rule: a call may use MEMORY_BUDGET bytes; a point coordinate (n m
 # of them) costs _POINT_BYTES, a brute-force edge coordinate (n(n - 1)/2 m)
-# _EDGE_BYTES, and a survivor the sweep reports _SURVIVOR_BYTES: the largest
-# tracemalloc peaks measured, rounded up.
+# _EDGE_BYTES, a survivor the sweep reports _SURVIVOR_BYTES and a trial
+# record run_sweep keeps _RECORD_BYTES: the largest tracemalloc peaks,
+# rounded up.
 MEMORY_BUDGET = 2 ** 32
 _POINT_BYTES = 1024
 _EDGE_BYTES = 256
 _SURVIVOR_BYTES = 256
+_RECORD_BYTES = 8192
 
 
 def points_fit(n: int, m: int) -> bool:
@@ -88,6 +90,11 @@ def survivors_fit(count: int) -> bool:
     """Whether a report of ``count`` undefeated edges fits the budget.  The
     sweep checks its running count, since only the sweep finds it."""
     return count * _SURVIVOR_BYTES <= MEMORY_BUDGET
+
+
+def records_fit(count: int) -> bool:
+    """Whether a sweep that keeps ``count`` trial records fits the budget."""
+    return count * _RECORD_BYTES <= MEMORY_BUDGET
 
 
 def too_large(n: int, m: int, what: str) -> ValueError:

@@ -94,10 +94,8 @@ def test_package_modules_are_pinned():
 # Each subcommand's arguments in declaration order: flags by their option
 # strings, positionals by name.
 CLI_ARGUMENTS = {
-    "gaps": ["--format", "--epsilon", "--exact", "alpha", "n", "--circular",
-             "--assert-bound"],
-    "survivors": ["--format", "--epsilon", "--exact", "alphas", "n", "--mode", "--svg",
-                  "--assert-bound"],
+    "gaps": ["--format", "--epsilon", "--exact", "alpha", "n", "--circular"],
+    "survivors": ["--format", "--epsilon", "--exact", "alphas", "n", "--mode", "--svg"],
     "denominators": ["--format", "--epsilon", "--exact", "alphas", "n"],
     "verify": ["suite", "--format", "--epsilon", "--seed", "--trials", "--max-n"],
     "sweep": ["config", "--format"],

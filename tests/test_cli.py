@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -56,8 +57,65 @@ def test_gaps_parse_failure_is_usage_error(capsys):
 
 
 def test_gaps_assert_bound_passes(capsys):
-    code, _, _ = run_cli(capsys, "gaps", "0.61803398", "200", "--assert-bound")
-    assert code == 0
+    code, _, err = run_cli(capsys, "gaps", "0.61803398", "200")
+    assert code == 0 and not err
+
+
+# One exit contract: every command checks its bounds in every format; each
+# bound exceeded is one BOUND VIOLATION line on stderr and exit code 2.
+# Each entry: the argv, how many checks a forced violation fails, and the
+# sha256 prefixes of stdout in table, csv and json under the real bounds:
+# checking a bound never changes what a passing command prints.
+BOUND_COMMANDS = {
+    "gaps": (["gaps", "0.3", "3"], 1,
+             "bd7325d1cb5afb67 e5e758caef1c769f 4889ff9176c46b97"),
+    "survivors-sweep": (["survivors", "0.3,0.41", "20"], 1,
+                        "ace55db1ab7cde99 5614efb953017182 a711cbe8ff0672e1"),
+    "survivors-brute": (["survivors", "0.3,0.41", "20", "--mode", "brute"], 1,
+                        "746a09f7f7c818ce 15b0375a22637987 5d666e7eb385daa3"),
+    "survivors-both": (["survivors", "0.3,0.41", "20", "--mode", "both"], 2,
+                       "cd90800a4cf6dbcf ab6cf57c7da93418 361243f9633c2a7a"),
+    "denominators": (["denominators", "0.3,0.2", "10"], 1,
+                     "0059bf02deeb9d68 158cc7fd1f41e246 cf4ff9ad5db44df0"),
+}
+FORMATS = ["table", "csv", "json"]
+
+
+def force_violation(monkeypatch, command):
+    """Lower one bound below the answer of the command's instance."""
+    from torusgaps import cli, denominators
+    if command == "gaps":
+        monkeypatch.setattr(cli, "THREE_GAP_BOUND", 1)  # 0.3, n = 3: two gaps
+    elif command == "survivors":
+        monkeypatch.setattr(cli, "survivor_bound", lambda m: 0)
+    else:
+        monkeypatch.setattr(denominators, "primary_count_bound", lambda m: -1)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(BOUND_COMMANDS))
+def test_violated_bound_exits_2_in_every_format(capsys, monkeypatch, name, fmt):
+    argv, failed, digests = BOUND_COMMANDS[name]
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+    assert code == 0 and not err and digest == digests.split()[FORMATS.index(fmt)]
+    force_violation(monkeypatch, argv[0])
+    code, forced_out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 2 and forced_out
+    lines = err.splitlines()
+    assert len(lines) == failed
+    assert all(line.startswith("BOUND VIOLATION: ") for line in lines)
+    if argv[0] == "gaps":  # the bound is not printed, so stdout is unchanged
+        assert forced_out == out
+    if fmt == "json":
+        json.loads(forced_out)
+
+
+def test_assert_bound_is_an_unknown_option(capsys):
+    for argv in (["gaps", "0.3", "10"], ["survivors", "0.3,0.4", "10"]):
+        code, out, err = run_cli(capsys, *argv, "--assert-bound")
+        assert code == 1 and not out
+        assert "unrecognized arguments: --assert-bound" in err
 
 
 def test_gaps_csv_output(capsys):
@@ -167,9 +225,9 @@ def test_sweep_config_with_too_large_n_is_a_usage_error(capsys, tmp_path):
 
 
 def test_survivors_assert_bound_m3(capsys):
-    code, out, _ = run_cli(capsys, "survivors", "0.3,0.4,0.7", "20",
-                           "--assert-bound", "--format", "json")
-    assert code == 0
+    code, out, err = run_cli(capsys, "survivors", "0.3,0.4,0.7", "20",
+                             "--format", "json")
+    assert code == 0 and not err
     payload = json.loads(out)
     assert payload["distinct_count"] <= 290
 
@@ -325,6 +383,17 @@ def test_sweep_rejects_boolean_values(capsys, tmp_path, override, key):
     code, out, err = run_cli(capsys, "sweep", str(cfg_path))
     assert code == 1 and "PASSED" not in out
     assert err.startswith("torusgaps: config error:") and key in err
+
+
+@pytest.mark.parametrize("component", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_sweep_rejects_non_finite_generators(capsys, tmp_path, component):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{"m": 2, "n_values": [5], "alpha_source": {"kind": '
+                        f'"explicit", "alphas": [[0.3, 0.4], [0.3, {component}]]}}}}')
+    code, out, err = run_cli(capsys, "sweep", str(cfg_path))
+    assert code == 1 and not out
+    assert err.startswith("torusgaps: config error:")
+    assert "alpha_source.alphas[1]" in err
 
 
 def test_sweep_invalid_json(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -69,11 +70,50 @@ def test_config_round_trip():
     ({"alpha_source": {"kind": "bogus"}}, "alpha_source.kind"),
     # A kind that is not a string cannot name a source (a list is unhashable).
     ({"alpha_source": {"kind": ["explicit"]}}, "alpha_source.kind"),
+    # Explicit rows pass the engines' coercion rule: finite components only.
+    ({"alpha_source": {"kind": "explicit", "alphas": [[0.3, float("nan")]]}},
+     "alpha_source.alphas[0]"),
+    ({"alpha_source": {"kind": "explicit", "alphas": [[0.3, 0.4], ["1/3", math.inf]]}},
+     "alpha_source.alphas[1]"),
+    ({"alpha_source": {"kind": "explicit", "alphas": json.loads("[[1e400, 0.4]]")}},
+     "alpha_source.alphas[0]"),
+    ({"alpha_source": {"kind": "explicit", "alphas": [[0.3, 10 ** 400]]}},
+     "alpha_source.alphas[0]"),
+    # The kept trial records must fit the size rule: 3,043 fractions at
+    # max_denominator 100 make 9.26e6 pairs per n value.
+    ({"alpha_source": {"kind": "rational_grid", "max_denominator": 100}},
+     "alpha_source.max_denominator"),
+    ({"alpha_source": {"kind": "rational_grid", "max_denominator": 10 ** 400}},
+     "alpha_source.max_denominator"),
+    ({"alpha_source": {"kind": "uniform_random", "trials": 10 ** 9}},
+     "alpha_source.trials"),
 ])
 def test_config_rejects_bad_values(mutation, expected_key):
     with pytest.raises(ConfigError) as err:
         config_from_dict(cfg_dict(**mutation))
     assert expected_key in err.value.offending
+
+
+def test_rational_grid_size_is_counted_not_listed():
+    from torusgaps import numerics
+    from torusgaps.experiments import _reduced_fractions
+    assert [_reduced_fractions(d) for d in (2, 3, 10, 100)] == [1, 3, 31, 3043]
+    start = time.perf_counter()
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(cfg_dict(m=3, alpha_source={"kind": "rational_grid",
+                                                     "max_denominator": 10 ** 4}))
+    assert time.perf_counter() - start < 1.0
+    assert err.value.offending == ["alpha_source.max_denominator"]
+    # At m = 2 over two n values: 489 fractions up to q = 40 make 478,242
+    # records, within the 2**32 / 8 KiB = 524,288 the budget keeps; the 529
+    # up to q = 41 make 559,682, past it.
+    assert numerics.MEMORY_BUDGET // numerics._RECORD_BYTES == 524_288
+    assert [_reduced_fractions(d) for d in (40, 41)] == [489, 529]
+    config_from_dict(cfg_dict(alpha_source={"kind": "rational_grid",
+                                            "max_denominator": 40}))
+    with pytest.raises(ConfigError):
+        config_from_dict(cfg_dict(alpha_source={"kind": "rational_grid",
+                                                "max_denominator": 41}))
 
 
 def test_config_rejects_unknown_and_missing_keys():
@@ -290,6 +330,10 @@ def test_verify_suite_rejects_unknown_name():
                  id="classical-trials"),
     pytest.param(lambda: dual_mode_agreement(instances=0), "instances",
                  id="dual_mode-instances"),
+    pytest.param(lambda: dual_mode_agreement(instances=2, max_n=4), "max_n",
+                 id="dual_mode-max_n"),
+    pytest.param(lambda: dual_mode_agreement(instances=2, max_denominator=1),
+                 "max_denominator", id="dual_mode-max_denominator"),
     pytest.param(lambda: verify_suite("planar", trials=2, epsilon=math.nan), "epsilon",
                  id="planar-epsilon-nan"),
     pytest.param(lambda: verify_suite("oracle", trials=2, epsilon=-1e-3), "epsilon",
