@@ -59,9 +59,10 @@ def parse_real(text: str, exact: bool = False) -> Real:
 
 
 def parse_alphas(text: str, exact: bool = False) -> list[Real]:
-    items = [s for s in text.split(",") if s.strip()]
-    if not items:
-        raise ValueError("empty generator vector")
+    items = text.split(",")
+    for i, s in enumerate(items, 1):
+        if not s.strip():
+            raise ValueError(f"generator component {i} of {len(items)} is empty")
     values = [parse_real(s, exact) for s in items]
     kinds = {isinstance(v, Fraction) for v in values}
     if kinds == {True, False}:

@@ -406,20 +406,10 @@ class SweepSummary:
             self.violation_witnesses.append(record.to_json_dict())
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "trials": self.trials,
-            "max_distinct": self.max_distinct,
-            "distinct_histogram": {str(k): v for k, v in
-                                   sorted(self.distinct_histogram.items())},
-            "violations": dict(sorted(self.violations.items())),
-            "violation_witnesses": self.violation_witnesses,
-            "rejected_draws": self.rejected_draws,
-            "errors": self.errors,
-            "sink_errors": self.sink_errors,
-            "status": self.status,
-            "records": [r.to_json_dict() for r in self.records],
-        }
+        d = _num_to_json(asdict(self))
+        d["distinct_histogram"] = {str(k): v for k, v in self.distinct_histogram.items()}
+        d["status"] = self.status
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
@@ -507,8 +497,8 @@ def write_trials_csv(summary: SweepSummary, path: str) -> None:
 @dataclass
 class CrossCheckReport:
     """Disagreements between two computations that must agree, one witness
-    per disagreeing trial: sweep against brute force (``cross_check``) or
-    exact against floating mode (``dual_mode_agreement``)."""
+    per disagreeing or failing trial: sweep against brute force
+    (``cross_check``) or exact against floating mode (``dual_mode_agreement``)."""
 
     trials: int = 0
     mismatches: list[dict] = field(default_factory=list)
@@ -527,6 +517,23 @@ def _reports_agree(a, b, tol: float = 1e-12) -> bool:
                     zip(a.distinct_lengths, b.distinct_lengths)))
 
 
+def _agreement(trials, disagreement) -> CrossCheckReport:
+    """Count ``trials`` (tuples that begin trial_id, alphas, n) and record each
+    witness dict ``disagreement(alphas, n)`` returns, or the error it raises."""
+    report = CrossCheckReport()
+    for trial_id, alphas, n, *_ in trials:
+        report.trials += 1
+        try:
+            witness = disagreement(alphas, n)
+        except Exception as exc:  # recorded, never swallowed
+            report.errors += 1
+            witness = {"error": f"{type(exc).__name__}: {exc}"}
+        if witness is not None:
+            report.mismatches.append({"trial_id": trial_id,
+                                      "alphas": _num_to_json(alphas), "n": n, **witness})
+    return report
+
+
 def cross_check(config: ExperimentConfig) -> CrossCheckReport:
     """Run sweep and brute-force oracle on every trial; any disagreement is
     reported with the full instance."""
@@ -534,32 +541,16 @@ def cross_check(config: ExperimentConfig) -> CrossCheckReport:
         if not edges_fit(n, config.m):
             raise ConfigError(f"n={n} is too large for the brute force at m={config.m}",
                               ["n_values"])
-    report = CrossCheckReport()
-    for trial_id, alphas, n, _ in _enumerate_trials(config):
-        report.trials += 1
-        try:
-            swept = survivors_sweep(alphas, n, epsilon=config.epsilon)
-            brute = survivors_brute(alphas, n, epsilon=config.epsilon)
-        except Exception as exc:
-            report.errors += 1
-            report.mismatches.append({
-                "trial_id": trial_id,
-                "alphas": _num_to_json(alphas),
-                "n": n,
-                "error": f"{type(exc).__name__}: {exc}",
-            })
-            continue
+
+    def disagreement(alphas, n):
+        swept = survivors_sweep(alphas, n, epsilon=config.epsilon)
+        brute = survivors_brute(alphas, n, epsilon=config.epsilon)
         if not _reports_agree(swept, brute):
-            report.mismatches.append({
-                "trial_id": trial_id,
-                "alphas": _num_to_json(alphas),
-                "n": n,
-                "sweep_survivors": swept.survivors,
-                "brute_survivors": brute.survivors,
-                "sweep_lengths": swept.distinct_lengths,
-                "brute_lengths": brute.distinct_lengths,
-            })
-    return report
+            return {"sweep_survivors": swept.survivors, "brute_survivors": brute.survivors,
+                    "sweep_lengths": swept.distinct_lengths,
+                    "brute_lengths": brute.distinct_lengths}
+
+    return _agreement(_enumerate_trials(config), disagreement)
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +612,8 @@ def _suite_one_d(trials: int, seed: int, epsilon: float, max_n: int) -> VerifyRe
 
 def _survivor_suite(name: str, m: int, trials: int, seed: int, epsilon: float,
                     max_n: int) -> VerifyResult:
+    if not records_fit(trials):  # run_sweep keeps one record a trial
+        raise ValueError(f"trials={trials}: their records would exceed the memory budget")
     res = VerifyResult(name)
     bound = survivor_bound(m)
     summary = run_sweep(_uniform_config(m, trials, seed, max_n, epsilon))
@@ -770,30 +763,30 @@ def dual_mode_agreement(instances: int = 200, *, seed: int = 0,
                                ("max_denominator", max_denominator, 2)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
-    report = CrossCheckReport()
-    for i in range(instances):
-        rng = _trial_rng(seed, i)
-        m = 1 + int(rng.integers(2))
-        n = int(rng.integers(5, max_n + 1))
-        fracs = []
-        for _ in range(m):
-            den = int(rng.integers(2, max_denominator + 1))
-            num = int(rng.integers(1, den))
-            fracs.append(Fraction(num, den))
+    if not points_fit(max_n, 2):
+        raise too_large(max_n, 2, "points")
+
+    def draws():
+        for i in range(instances):
+            rng = _trial_rng(seed, i)
+            m = 1 + int(rng.integers(2))
+            n = int(rng.integers(5, max_n + 1))
+            fracs = []
+            for _ in range(m):
+                den = int(rng.integers(2, max_denominator + 1))
+                num = int(rng.integers(1, den))
+                fracs.append(Fraction(num, den))
+            yield i, fracs, n
+
+    def disagreement(fracs, n):
         floats = [float(f) for f in fracs]
-        report.trials += 1
         exact_rep = survivors_sweep(fracs, n)
         float_rep = survivors_sweep(floats, n, epsilon=epsilon)
         prof_e = _profile_outcome(approximation_profile(fracs, n))
         prof_f = _profile_outcome(approximation_profile(floats, n, epsilon=epsilon))
         if not (_reports_agree(exact_rep, float_rep, 1e-9) and prof_e == prof_f):
-            report.mismatches.append({
-                "trial_id": i,
-                "alphas": _num_to_json(fracs),
-                "n": n,
-                "exact_survivors": exact_rep.survivors,
-                "float_survivors": float_rep.survivors,
-                "exact_profile": prof_e,
-                "float_profile": prof_f,
-            })
-    return report
+            return {"exact_survivors": exact_rep.survivors,
+                    "float_survivors": float_rep.survivors,
+                    "exact_profile": prof_e, "float_profile": prof_f}
+
+    return _agreement(draws(), disagreement)

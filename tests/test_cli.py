@@ -224,6 +224,32 @@ def test_sweep_config_with_too_large_n_is_a_usage_error(capsys, tmp_path):
     assert not out
 
 
+
+@pytest.mark.parametrize("suite", ["planar", "higher"])
+def test_verify_refuses_trials_past_the_record_budget(capsys, monkeypatch, suite):
+    # run_sweep keeps one record a trial: a budget of 4 records refuses a
+    # fifth trial before any trial runs.
+    monkeypatch.setattr(numerics, "MEMORY_BUDGET", 4 * numerics._RECORD_BYTES)
+    code, out, _ = run_cli(capsys, "verify", suite, "--trials", "4", "--max-n", "10")
+    assert code == 0 and "PASS" in out
+    code, out, err = run_cli(capsys, "verify", suite, "--trials", "5", "--max-n", "10")
+    assert code == 1 and not out
+    assert err.startswith("torusgaps: error: trials=5")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["survivors", "denominators"])
+@pytest.mark.parametrize("alphas, position", [
+    ("0.3,,0.4", "2 of 3"), ("0.3,", "2 of 2"), (",0.3", "1 of 2"),
+    (" ", "1 of 1"), ("1/3, ,2/5", "2 of 3"),
+])
+def test_empty_generator_component_is_a_usage_error(capsys, command, alphas,
+                                                    position):
+    # Dropping the empty item would run the instance at a smaller m.
+    code, out, err = run_cli(capsys, command, alphas, "5")
+    assert code == 1 and not out
+    assert err == f"torusgaps: error: generator component {position} is empty\n"
+
 def test_survivors_assert_bound_m3(capsys):
     code, out, err = run_cli(capsys, "survivors", "0.3,0.4,0.7", "20",
                              "--format", "json")
@@ -355,6 +381,52 @@ def test_sweep_command(capsys, tmp_path):
     assert out_csv.exists() and out_json.exists()
     assert json.loads(out_json.read_text())["trials"] == 4
 
+
+
+# sha256 prefixes of stdout in table and json, computed before the sweep
+# and brute-force cross-checks shared one disagreement loop.
+VERIFY_DIGESTS = {
+    "classical": "ece57170841f37bc 1c96e8149f0b8e0a",
+    "higher": "a936fc32c767d163 61484487585be14d",
+    "lemmas": "603a95ed0ae9ceb6 102031eec51fa19b",
+    "one_d": "ddab1bdd6143a672 f00ed86d63734274",
+    "oracle": "c23860ae872b7f1a ca92f1c48e60093b",
+    "planar": "d6081103763324fb 9e5ef3a898d20c6d",
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("suite", sorted(VERIFY_DIGESTS))
+def test_verify_output_is_pinned(capsys, suite, fmt):
+    size = [] if suite == "classical" else ["--max-n", "60"]
+    code, out, err = run_cli(capsys, "verify", suite, "--trials", "40", *size,
+                             "--seed", "3", "--format", fmt)
+    assert code == 0 and not err
+    digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+    assert digest == VERIFY_DIGESTS[suite].split()[["table", "json"].index(fmt)]
+
+
+# Configs without sinks, so that no path enters the output; the sha256
+# prefix of `sweep --format json` for each.
+SWEEP_DIGESTS = {
+    "uniform-m2": ({"m": 2, "alpha_source": {"kind": "uniform_random", "trials": 6},
+                    "n_values": [8, 15], "seed": 42}, "a9739720402ab2a5"),
+    "grid-m1": ({"m": 1, "alpha_source": {"kind": "rational_grid",
+                                          "max_denominator": 6},
+                 "n_values": [5, 9]}, "e9caa527fa9078a1"),
+    "quadratic-m3": ({"m": 3, "alpha_source": {"kind": "quadratic_irrationals"},
+                      "n_values": [10, 20]}, "4d6e4577f069c055"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
+def test_sweep_json_is_pinned(capsys, tmp_path, name):
+    config, want = SWEEP_DIGESTS[name]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", str(cfg_path), "--format", "json")
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
 
 def test_sweep_malformed_config(capsys, tmp_path):
     cfg_path = tmp_path / "config.json"

@@ -9,6 +9,8 @@ import pytest
 from torusgaps.experiments import (
     QUADRATIC_IRRATIONALS,
     ConfigError,
+    SweepSummary,
+    TrialRecord,
     config_from_dict,
     cross_check,
     csv_header,
@@ -266,6 +268,17 @@ def test_run_sweep_is_byte_deterministic():
     assert run_sweep(cfg_a).to_json() == run_sweep(cfg_b).to_json()
 
 
+
+def test_summary_json_writes_histogram_keys_as_strings():
+    # The sweep digests never reach |S| >= 10, where string keys sort
+    # apart from integer ones.
+    summary = SweepSummary(config={})
+    for k in (2, 10, 2):
+        summary.add(TrialRecord(trial_id=0, m=2, n=5, alphas=[0.3, 0.4],
+                                distinct_count=k))
+    assert summary.to_json_dict()["distinct_histogram"] == {"2": 2, "10": 1}
+    assert list(json.loads(summary.to_json())["distinct_histogram"]) == ["10", "2"]
+
 def test_cross_check_passes_and_validates_edge_rule():
     cfg = config_from_dict(cfg_dict())
     report = cross_check(cfg)
@@ -380,6 +393,57 @@ def test_dual_mode_agreement_compares_whole_profile(monkeypatch):
     assert (witness["float_profile"]["primary_distinct"]
             == witness["exact_profile"]["primary_distinct"] + 1)
 
+
+
+def test_dual_mode_agreement_records_engine_errors(monkeypatch):
+    # An engine error is one witness carrying the instance, as in
+    # cross_check: it neither aborts the run nor passes it.
+    import torusgaps.experiments as ex
+    real = ex.survivors_sweep
+    calls = []
+
+    def failing(alphas, n, **kwargs):
+        calls.append((alphas, n))
+        if len(calls) == 3:  # the exact run of trial 1
+            raise RuntimeError("boom")
+        return real(alphas, n, **kwargs)
+
+    monkeypatch.setattr(ex, "survivors_sweep", failing)
+    report = dual_mode_agreement(instances=4, seed=5)
+    assert report.trials == 4 and report.errors == 1 and not report.passed
+    alphas, n = calls[2]
+    assert report.mismatches == [{"trial_id": 1, "alphas": [str(a) for a in alphas],
+                                  "n": n, "error": "RuntimeError: boom"}]
+
+
+def test_dual_mode_agreement_checks_the_size_rule_first(monkeypatch):
+    import torusgaps.experiments as ex
+    monkeypatch.setattr(ex, "survivors_sweep",
+                        lambda *args, **kwargs: pytest.fail("a trial ran"))
+    with pytest.raises(ValueError, match="n=1000000000 is too large at m=2"):
+        dual_mode_agreement(instances=2, max_n=10 ** 9)
+
+
+@pytest.mark.parametrize("suite", ["planar", "higher"])
+def test_survivor_suites_refuse_trials_past_the_record_budget(monkeypatch, suite):
+    # run_sweep keeps one record a trial; under a budget of 4 records the
+    # fifth trial is refused before any trial runs.
+    import torusgaps.experiments as ex
+    from torusgaps import numerics
+    monkeypatch.setattr(numerics, "MEMORY_BUDGET", 4 * numerics._RECORD_BYTES)
+    real = ex.run_trial
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "run_trial", counted)
+    assert verify_suite(suite, trials=4, max_n=10).passed
+    assert len(calls) == 4
+    with pytest.raises(ValueError, match="trials=5"):
+        verify_suite(suite, trials=5, max_n=10)
+    assert len(calls) == 4
 
 def test_run_sweep_defaults_stay_within_bounds():
     for m, bound in ((1, 3), (2, 11)):
