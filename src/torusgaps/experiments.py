@@ -4,10 +4,12 @@ A sweep is described by an :class:`ExperimentConfig` (loadable from JSON):
 a dimension, a source of generator vectors, a list of n values, tolerances
 and output sinks.  ``run_sweep`` computes the undefeated-edge report and
 the full approximation profile for every trial, checks |S| and every row
-of ``denominators.profile_checks`` against its ceiling, and aggregates a
-:class:`SweepSummary` that can be serialized to JSON and per-trial CSV
-rows.  ``cross_check`` runs the sweep engine against the brute-force oracle
-on every trial and reports any disagreement verbatim.
+of ``denominators.profile_checks`` against its ceiling, writes each
+trial's CSV row as soon as it is made, and aggregates a
+:class:`SweepSummary` that keeps no records, only counts and the first
+``_WITNESSES`` failing trials, so its memory does not grow with the number
+of trials.  ``cross_check`` runs the sweep engine against the brute-force
+oracle on every trial and reports any disagreement verbatim.
 
 The named verify suites are uniform-random configs (n uniform in
 [2, max_n]) read through the same trial stream: ``planar``, ``higher`` and
@@ -39,7 +41,7 @@ from .denominators import (approximation_profile, primary_count_bound,
                            profile_checks, undercut_bound)
 from .gaps import THREE_GAP_BOUND, chung_graham_gaps, gap_spectrum, geelen_simpson_gaps
 from .numerics import (EPSILON, Real, coerce_components, edges_fit, points_fit,
-                       records_fit, tolerance, too_large, valid_epsilon)
+                       tolerance, too_large, valid_epsilon)
 from .tournament import survivor_bound, survivors_brute, survivors_sweep
 
 __all__ = [
@@ -163,16 +165,7 @@ def _keys(cls) -> set[str]:
     return {f.name for f in fields(cls)}  # a config object's keys are its fields
 
 
-def _reduced_fractions(d: int) -> int:
-    """phi(2) + ... + phi(d), the rational grid's size, by a totient sieve."""
-    phi = np.arange(d + 1)
-    for p in range(2, d + 1):
-        if phi[p] == p:  # p is prime: each multiple keeps (p - 1)/p of its phi
-            phi[p::p] -= phi[p::p] // p
-    return int(phi[2:].sum())
-
-
-def _parse_source(d: dict, m: int, n_count: int):
+def _parse_source(d: dict, m: int):
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError("alpha_source must be an object with a 'kind'",
                           ["alpha_source"])
@@ -186,9 +179,9 @@ def _parse_source(d: dict, m: int, n_count: int):
                           [f"alpha_source.{k}" for k in sorted(extra)])
     if cls is UniformRandom:
         trials = d.get("trials")
-        if not _is_number(trials, int) or trials < 1 or not records_fit(trials):
-            raise ConfigError("uniform_random needs 1 <= trials within the memory "
-                              "budget", ["alpha_source.trials"])
+        if not _is_number(trials, int) or trials < 1:
+            raise ConfigError("uniform_random needs trials >= 1",
+                              ["alpha_source.trials"])
         return UniformRandom(trials=trials)
     if cls is QuadraticIrrationals:
         catalog = d.get("catalog", list(QUADRATIC_IRRATIONALS))
@@ -201,10 +194,8 @@ def _parse_source(d: dict, m: int, n_count: int):
         return QuadraticIrrationals(catalog=list(catalog))
     if cls is RationalGrid:
         md = d.get("max_denominator")
-        # A grid holds at least md - 1 fractions, so a larger md fails before
-        # the sieve; it holds 1 or >= 3, and 3 ** 64 tuples already fail.
-        if (not _is_number(md, int) or md < 2 or not records_fit(md - 1)
-                or not records_fit(n_count * _reduced_fractions(md) ** min(m, 64))):
+        # The enumeration lists the grid's fewer than md(md - 1)/2 fractions.
+        if not _is_number(md, int) or md < 2 or not points_fit(md * (md - 1) // 2, 1):
             raise ConfigError("rational_grid needs 2 <= max_denominator within the "
                               "memory budget", ["alpha_source.max_denominator"])
         return RationalGrid(max_denominator=md)
@@ -248,7 +239,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if not _is_number(epsilon) or not valid_epsilon(epsilon):
         offending.append("epsilon")
     seed = d.get("seed", ExperimentConfig.seed)
-    if not _is_number(seed, int):
+    if not _is_number(seed, int) or seed < 0:
         offending.append("seed")
     out = d.get("output", {})
     if not isinstance(out, dict) or set(out) - _keys(OutputSpec):
@@ -257,7 +248,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         raise ConfigError("invalid config values", offending)
     return ExperimentConfig(
         m=m,
-        alpha_source=_parse_source(d["alpha_source"], m, len(n_values)),
+        alpha_source=_parse_source(d["alpha_source"], m),
         n_values=list(n_values),
         epsilon=float(epsilon),
         seed=seed,
@@ -339,12 +330,12 @@ class TrialRecord:
     survivor_count: int | None = None
     distinct_count: int | None = None
     max_length: float | None = None
-    distinct_lengths: list = field(default_factory=list)
     q1: int | None = None
     q2: int | None = None
     primary_count: int | None = None
     secondary_count: int | None = None
     lemma2_count: int | None = None
+    distinct_lengths: list = field(default_factory=list)
     primary_distinct: int | None = None
     secondary_distinct: int | None = None
     violations: list[str] = field(default_factory=list)
@@ -354,25 +345,32 @@ class TrialRecord:
         return _num_to_json(asdict(self))
 
     def csv_row(self) -> list:
-        row = [self.trial_id, self.m, self.n, *self.alphas]
-        row += [getattr(self, name) for name in _CSV_FIELDS]
-        return ["" if v is None else v for v in _num_to_json(row)]
-
-
-# The per-trial CSV columns after trial_id, m, n and alpha_1..alpha_m.
-_CSV_FIELDS = ("survivor_count", "distinct_count", "max_length", "q1", "q2",
-               "primary_count", "secondary_count", "lemma2_count")
+        """Every field in order: alphas over m cells, other lists joined by ";"."""
+        row = []
+        for name, v in self.to_json_dict().items():
+            if name == "alphas":
+                row += v
+            else:
+                row.append(";".join(map(str, v)) if isinstance(v, list)
+                           else "" if v is None else v)
+        return row
 
 
 def csv_header(m: int) -> list[str]:
-    return (["trial_id", "m", "n"] + [f"alpha_{i}" for i in range(1, m + 1)]
-            + list(_CSV_FIELDS))
+    """The columns of ``TrialRecord.csv_row`` at m axes."""
+    return [col for f in fields(TrialRecord)
+            for col in ([f"alpha_{i}" for i in range(1, m + 1)]
+                        if f.name == "alphas" else [f.name])]
+
+
+# The failing trials (violating or errored) a summary keeps in full; the
+# rest are only counted.
+_WITNESSES = 20
 
 
 @dataclass
 class SweepSummary:
     config: dict
-    records: list[TrialRecord] = field(default_factory=list)
     trials: int = 0
     max_distinct: int = 0
     distinct_histogram: dict[int, int] = field(default_factory=dict)
@@ -390,20 +388,20 @@ class SweepSummary:
     def status(self) -> str:
         return "FAILED" if (self.total_violations or self.errors) else "PASSED"
 
-    def add(self, record: TrialRecord, rejected: int = 0) -> None:
-        self.records.append(record)
+    def add(self, record: TrialRecord, rejected: int = 0) -> TrialRecord:
         self.trials += 1
         self.rejected_draws += rejected
         if record.error is not None:
             self.errors += 1
-            return
-        k = record.distinct_count
-        self.distinct_histogram[k] = self.distinct_histogram.get(k, 0) + 1
-        self.max_distinct = max(self.max_distinct, k)
-        for v in record.violations:
-            self.violations[v] = self.violations.get(v, 0) + 1
-        if record.violations:
+        else:
+            k = record.distinct_count
+            self.distinct_histogram[k] = self.distinct_histogram.get(k, 0) + 1
+            self.max_distinct = max(self.max_distinct, k)
+            for v in record.violations:
+                self.violations[v] = self.violations.get(v, 0) + 1
+        if (record.error or record.violations) and len(self.violation_witnesses) < _WITNESSES:
             self.violation_witnesses.append(record.to_json_dict())
+        return record
 
     def to_json_dict(self) -> dict:
         d = _num_to_json(asdict(self))
@@ -463,16 +461,23 @@ def run_trial(trial_id: int, alphas: list, n: int, *,
 
 
 def run_sweep(config: ExperimentConfig) -> SweepSummary:
-    """Run every trial of a config, aggregate, and write configured sinks."""
+    """Run every trial of a config into its summary, writing each trial's
+    CSV row as it is made and the summary JSON at the end.  A sink that
+    fails is a ``sink_errors`` entry; the trials and the other sink run on."""
     summary = SweepSummary(config=config.to_dict())
-    for trial_id, alphas, n, rejected in _enumerate_trials(config):
-        summary.add(run_trial(trial_id, alphas, n, epsilon=config.epsilon), rejected)
+    records = (summary.add(run_trial(i, alphas, n, epsilon=config.epsilon), rejected)
+               for i, alphas, n, rejected in _enumerate_trials(config))
     out = config.output
     if out.trials_csv:
         try:
-            write_trials_csv(summary, out.trials_csv)
+            with open(out.trials_csv, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(csv_header(config.m))
+                writer.writerows(r.csv_row() for r in records)
         except OSError as exc:
             summary.sink_errors.append(f"trials_csv: {exc}")
+    for _ in records:  # the trials no CSV sink took
+        pass
     if out.summary_json:
         try:
             with open(out.summary_json, "w", encoding="utf-8") as fh:
@@ -480,14 +485,6 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
         except OSError as exc:
             summary.sink_errors.append(f"summary_json: {exc}")
     return summary
-
-
-def write_trials_csv(summary: SweepSummary, path: str) -> None:
-    m = summary.config["m"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(csv_header(m))
-        writer.writerows(r.csv_row() for r in summary.records)
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +609,12 @@ def _suite_one_d(trials: int, seed: int, epsilon: float, max_n: int) -> VerifyRe
 
 def _survivor_suite(name: str, m: int, trials: int, seed: int, epsilon: float,
                     max_n: int) -> VerifyResult:
-    if not records_fit(trials):  # run_sweep keeps one record a trial
-        raise ValueError(f"trials={trials}: their records would exceed the memory budget")
     res = VerifyResult(name)
     bound = survivor_bound(m)
     summary = run_sweep(_uniform_config(m, trials, seed, max_n, epsilon))
     res.check(f"|S| <= {bound} over {trials} trials (m={m})",
               summary.status == "PASSED", max_distinct=summary.max_distinct,
-              violations=len(summary.violation_witnesses), errors=summary.errors)
+              violations=summary.total_violations, errors=summary.errors)
     res.stats["max_distinct"] = summary.max_distinct
     res.stats["bound"] = bound
     return res
@@ -691,8 +686,10 @@ def _suite_oracle(trials: int, seed: int, epsilon: float, max_n: int) -> VerifyR
     reports = {m: cross_check(_uniform_config(m, trials, seed + m, max_n, epsilon))
                for m in (3, 2, 1)}
     for m in (1, 2, 3):
+        r = reports[m]  # a failing check names its errors and first witness
+        info = {} if r.passed else {"errors": r.errors, "witness": r.mismatches[0]}
         res.check(f"sweep == brute on {trials} trials (m={m}, n <= {max_n})",
-                  reports[m].passed, mismatches=len(reports[m].mismatches))
+                  r.passed, mismatches=len(r.mismatches) - r.errors, **info)
     return res
 
 
@@ -721,8 +718,9 @@ def verify_suite(name: str, *, trials: int | None = None, seed: int = 0,
     if max_n is not None and max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
     trials = d_trials if trials is None else trials
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    for key, value, least in (("trials", trials, 1), ("seed", seed, 0)):
+        if value < least:
+            raise ValueError(f"{key} must be >= {least}, got {value}")
     # The engines refuse a bad epsilon too, but one trial at a time: checked
     # here, it is one usage error before any trial runs.
     tolerance(epsilon, exact=False)
@@ -760,7 +758,8 @@ def dual_mode_agreement(instances: int = 200, *, seed: int = 0,
     primary and secondary denominators with their signs, the undercut count
     and both distinct-length counts."""
     for name, value, least in (("instances", instances, 1), ("max_n", max_n, 5),
-                               ("max_denominator", max_denominator, 2)):
+                               ("max_denominator", max_denominator, 2),
+                               ("seed", seed, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
     if not points_fit(max_n, 2):

@@ -225,17 +225,39 @@ def test_sweep_config_with_too_large_n_is_a_usage_error(capsys, tmp_path):
 
 
 
-@pytest.mark.parametrize("suite", ["planar", "higher"])
-def test_verify_refuses_trials_past_the_record_budget(capsys, monkeypatch, suite):
-    # run_sweep keeps one record a trial: a budget of 4 records refuses a
-    # fifth trial before any trial runs.
-    monkeypatch.setattr(numerics, "MEMORY_BUDGET", 4 * numerics._RECORD_BYTES)
-    code, out, _ = run_cli(capsys, "verify", suite, "--trials", "4", "--max-n", "10")
-    assert code == 0 and "PASS" in out
-    code, out, err = run_cli(capsys, "verify", suite, "--trials", "5", "--max-n", "10")
+@pytest.mark.parametrize("suite", ["planar", "oracle"])
+def test_verify_refuses_a_negative_seed(capsys, monkeypatch, suite):
+    # numpy would refuse it at the first trial, naming nothing.
+    import torusgaps.experiments as ex
+    monkeypatch.setattr(ex, "_trial_rng", lambda *args: pytest.fail("a trial ran"))
+    code, out, err = run_cli(capsys, "verify", suite, "--seed", "-1", "--trials", "2")
     assert code == 1 and not out
-    assert err.startswith("torusgaps: error: trials=5")
-    assert "Traceback" not in err
+    assert err == "torusgaps: error: seed must be >= 0, got -1\n"
+
+
+def test_verify_oracle_names_errors_and_a_witness(capsys, monkeypatch):
+    # An engine error is counted apart from the mismatches, and a failing
+    # check prints its first witness with the instance and the error.
+    import torusgaps.experiments as ex
+    real = ex.survivors_brute
+
+    def odd_fails(alphas, n, **kwargs):
+        if n % 2:
+            raise RuntimeError(f"odd n={n}")
+        return real(alphas, n, **kwargs)
+
+    monkeypatch.setattr(ex, "survivors_brute", odd_fails)
+    code, out, err = run_cli(capsys, "verify", "oracle", "--trials", "3",
+                             "--max-n", "20", "--format", "json")
+    assert code == 2 and not err
+    checks = json.loads(out)["checks"]
+    assert not any(check["ok"] for check in checks)
+    for check in checks:
+        info = check["info"]
+        assert info["mismatches"] == 0 and info["errors"] >= 1
+        witness = info["witness"]
+        assert witness["n"] % 2 == 1 and len(witness["alphas"]) >= 1
+        assert witness["error"] == f"RuntimeError: odd n={witness['n']}"
 
 
 @pytest.mark.parametrize("command", ["survivors", "denominators"])
@@ -407,15 +429,16 @@ def test_verify_output_is_pinned(capsys, suite, fmt):
 
 
 # Configs without sinks, so that no path enters the output; the sha256
-# prefix of `sweep --format json` for each.
+# prefix of `sweep --format json` for each, pinned once the summary stopped
+# carrying every trial record.
 SWEEP_DIGESTS = {
     "uniform-m2": ({"m": 2, "alpha_source": {"kind": "uniform_random", "trials": 6},
-                    "n_values": [8, 15], "seed": 42}, "a9739720402ab2a5"),
+                    "n_values": [8, 15], "seed": 42}, "b90a1a167c21ca1d"),
     "grid-m1": ({"m": 1, "alpha_source": {"kind": "rational_grid",
                                           "max_denominator": 6},
-                 "n_values": [5, 9]}, "e9caa527fa9078a1"),
+                 "n_values": [5, 9]}, "cd425d26af83f4f3"),
     "quadratic-m3": ({"m": 3, "alpha_source": {"kind": "quadratic_irrationals"},
-                      "n_values": [10, 20]}, "4d6e4577f069c055"),
+                      "n_values": [10, 20]}, "33935cba524a32bd"),
 }
 
 

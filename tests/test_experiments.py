@@ -81,14 +81,14 @@ def test_config_round_trip():
      "alpha_source.alphas[0]"),
     ({"alpha_source": {"kind": "explicit", "alphas": [[0.3, 10 ** 400]]}},
      "alpha_source.alphas[0]"),
-    # The kept trial records must fit the size rule: 3,043 fractions at
-    # max_denominator 100 make 9.26e6 pairs per n value.
-    ({"alpha_source": {"kind": "rational_grid", "max_denominator": 100}},
+    # The enumeration lists the grid: its 2897 * 2896 / 2 fraction bound
+    # breaks the size rule at one axis.
+    ({"alpha_source": {"kind": "rational_grid", "max_denominator": 2897}},
      "alpha_source.max_denominator"),
     ({"alpha_source": {"kind": "rational_grid", "max_denominator": 10 ** 400}},
      "alpha_source.max_denominator"),
-    ({"alpha_source": {"kind": "uniform_random", "trials": 10 ** 9}},
-     "alpha_source.trials"),
+    # A negative seed would fail inside numpy, at the first trial.
+    ({"seed": -3}, "seed"),
 ])
 def test_config_rejects_bad_values(mutation, expected_key):
     with pytest.raises(ConfigError) as err:
@@ -97,25 +97,20 @@ def test_config_rejects_bad_values(mutation, expected_key):
 
 
 def test_rational_grid_size_is_counted_not_listed():
-    from torusgaps import numerics
-    from torusgaps.experiments import _reduced_fractions
-    assert [_reduced_fractions(d) for d in (2, 3, 10, 100)] == [1, 3, 31, 3043]
     start = time.perf_counter()
     with pytest.raises(ConfigError) as err:
         config_from_dict(cfg_dict(m=3, alpha_source={"kind": "rational_grid",
                                                      "max_denominator": 10 ** 4}))
     assert time.perf_counter() - start < 1.0
     assert err.value.offending == ["alpha_source.max_denominator"]
-    # At m = 2 over two n values: 489 fractions up to q = 40 make 478,242
-    # records, within the 2**32 / 8 KiB = 524,288 the budget keeps; the 529
-    # up to q = 41 make 559,682, past it.
-    assert numerics.MEMORY_BUDGET // numerics._RECORD_BYTES == 524_288
-    assert [_reduced_fractions(d) for d in (40, 41)] == [489, 529]
+    # The grid's fraction bound md(md - 1)/2 meets the points rule at one
+    # axis, 2**32 / 1 KiB = 4,194,304: 4,191,960 at md 2896, 4,194,856 at
+    # 2897.  Trials are not counted: a sweep streams them.
     config_from_dict(cfg_dict(alpha_source={"kind": "rational_grid",
-                                            "max_denominator": 40}))
+                                            "max_denominator": 2896}))
     with pytest.raises(ConfigError):
         config_from_dict(cfg_dict(alpha_source={"kind": "rational_grid",
-                                                "max_denominator": 41}))
+                                                "max_denominator": 2897}))
 
 
 def test_config_rejects_unknown_and_missing_keys():
@@ -178,19 +173,26 @@ def test_quadratic_catalog_enumeration():
     assert all(set(alphas) <= values for _, alphas, _, _ in trials)
 
 
-def test_rational_grid_is_exact():
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_rational_grid_is_exact(tmp_path):
+    out_csv = tmp_path / "trials.csv"
     cfg = config_from_dict(cfg_dict(
         m=1, alpha_source={"kind": "rational_grid", "max_denominator": 5},
-        n_values=[6]))
+        n_values=[6], output={"trials_csv": str(out_csv)}))
     trials = list(_enumerate_trials(cfg))
     # Farey fractions with denominator 2..5: 1/2, 1/3, 2/3, ..., 4/5
     assert len(trials) == 9
     assert all(isinstance(alphas[0], Fraction) for _, alphas, _, _ in trials)
     summary = run_sweep(cfg)
     assert summary.status == "PASSED"
-    # exact-mode records serialize cleanly (fractions become "p/q" strings)
-    loaded = json.loads(summary.to_json())
-    assert loaded["records"][0]["alphas"] == ["1/2"]
+    # exact-mode rows serialize cleanly (fractions become "p/q" strings)
+    rows = read_csv(out_csv)
+    assert [row["alpha_1"] for row in rows[:3]] == ["1/2", "1/3", "2/3"]
+    assert all(row["error"] == "" and row["violations"] == "" for row in rows)
 
 
 def test_run_trial_record_fields():
@@ -250,16 +252,51 @@ def test_run_sweep_summary_and_sinks(tmp_path):
     loaded = json.loads(out_json.read_text())
     assert loaded["status"] == "PASSED"
     assert loaded["trials"] == 6
-    assert len(loaded["records"]) == 6
+    assert "records" not in loaded  # the summary holds aggregates only
 
     with out_csv.open() as fh:
         rows = list(csv.reader(fh))
+    # Every record field; the first 13 columns are the ones CSV has always had.
     assert rows[0] == ["trial_id", "m", "n", "alpha_1", "alpha_2",
                        "survivor_count", "distinct_count", "max_length",
                        "q1", "q2", "primary_count", "secondary_count",
-                       "lemma2_count"]
+                       "lemma2_count", "distinct_lengths", "primary_distinct",
+                       "secondary_distinct", "violations", "error"]
     assert len(rows) == 7
     assert csv_header(2) == rows[0]
+    # Each row is the record run_trial makes for its trial.
+    for row, (i, alphas, n, _) in zip(read_csv(out_csv), _enumerate_trials(cfg)):
+        record = run_trial(i, alphas, n)
+        assert [float(row["alpha_1"]), float(row["alpha_2"])] == alphas
+        assert int(row["survivor_count"]) == record.survivor_count
+        assert ([float(x) for x in row["distinct_lengths"].split(";")]
+                == record.distinct_lengths)
+        assert int(row["secondary_distinct"]) == record.secondary_distinct
+
+
+@pytest.mark.parametrize("failure", ["open", "write"])
+def test_a_failing_csv_sink_spares_the_trials_and_the_summary(tmp_path, monkeypatch,
+                                                              failure):
+    # The CSV sink opens before the first trial and writes as trials run; a
+    # sink that cannot be opened, or fails midway, is one sink error.
+    out_csv = tmp_path / "trials.csv"
+    if failure == "open":
+        out_csv = tmp_path / "missing" / "trials.csv"
+    else:
+        real = TrialRecord.csv_row
+
+        def disk_full(record):
+            if record.trial_id == 3:
+                raise OSError(28, "No space left on device")
+            return real(record)
+
+        monkeypatch.setattr(TrialRecord, "csv_row", disk_full)
+    out_json = tmp_path / "summary.json"
+    summary = run_sweep(config_from_dict(cfg_dict(
+        output={"summary_json": str(out_json), "trials_csv": str(out_csv)})))
+    assert summary.trials == 6 and summary.status == "PASSED"
+    assert [e.split(":")[0] for e in summary.sink_errors] == ["trials_csv"]
+    assert json.loads(out_json.read_text())["trials"] == 6
 
 
 def test_run_sweep_is_byte_deterministic():
@@ -290,17 +327,17 @@ def test_cross_check_passes_and_validates_edge_rule():
     assert err.value.offending == ["n_values"]
 
 
-def test_explicit_source_runs_exact_instances():
+def test_explicit_source_runs_exact_instances(tmp_path):
+    out_csv = tmp_path / "trials.csv"
     cfg = config_from_dict(cfg_dict(
         m=1,
         alpha_source={"kind": "explicit", "alphas": [["1/3"], ["2/7"], [0.618]]},
-        n_values=[6]))
+        n_values=[6], output={"trials_csv": str(out_csv)}))
+    assert cfg.alpha_source.alphas[0] == [Fraction(1, 3)]
     summary = run_sweep(cfg)
     assert summary.trials == 3
     assert summary.status == "PASSED"
-    assert summary.records[0].alphas == [Fraction(1, 3)]
-    row = summary.records[0].csv_row()
-    assert row[3] == "1/3"
+    assert [row["alpha_1"] for row in read_csv(out_csv)] == ["1/3", "2/7", "0.618"]
 
 
 def test_golden_ratio_oracle_agreement():
@@ -347,6 +384,10 @@ def test_verify_suite_rejects_unknown_name():
                  id="dual_mode-max_n"),
     pytest.param(lambda: dual_mode_agreement(instances=2, max_denominator=1),
                  "max_denominator", id="dual_mode-max_denominator"),
+    pytest.param(lambda: dual_mode_agreement(instances=2, seed=-1), "seed",
+                 id="dual_mode-seed"),
+    pytest.param(lambda: verify_suite("planar", trials=2, seed=-1), "seed",
+                 id="planar-seed"),
     pytest.param(lambda: verify_suite("planar", trials=2, epsilon=math.nan), "epsilon",
                  id="planar-epsilon-nan"),
     pytest.param(lambda: verify_suite("oracle", trials=2, epsilon=-1e-3), "epsilon",
@@ -424,26 +465,67 @@ def test_dual_mode_agreement_checks_the_size_rule_first(monkeypatch):
         dual_mode_agreement(instances=2, max_n=10 ** 9)
 
 
-@pytest.mark.parametrize("suite", ["planar", "higher"])
-def test_survivor_suites_refuse_trials_past_the_record_budget(monkeypatch, suite):
-    # run_sweep keeps one record a trial; under a budget of 4 records the
-    # fifth trial is refused before any trial runs.
+def test_sweep_memory_does_not_grow_with_trials(monkeypatch, tmp_path):
+    # run_sweep streams each record to trials.csv and keeps at most
+    # _WITNESSES failing ones, so ten times the trials peak at the same
+    # memory.  Every third stubbed trial violates, to fill the witnesses.
+    import tracemalloc
     import torusgaps.experiments as ex
-    from torusgaps import numerics
-    monkeypatch.setattr(numerics, "MEMORY_BUDGET", 4 * numerics._RECORD_BYTES)
-    real = ex.run_trial
-    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def stub(trial_id, alphas, n, *, epsilon):
+        return TrialRecord(
+            trial_id=trial_id, m=2, n=n, alphas=alphas, survivor_count=4 * n,
+            distinct_count=3, max_length=0.5, q1=3, q2=5, primary_count=2,
+            secondary_count=2, lemma2_count=1, distinct_lengths=[0.1, 0.25, 0.5],
+            primary_distinct=2, secondary_distinct=1,
+            violations=["survivor_bound"] if trial_id % 3 == 0 else [])
 
-    monkeypatch.setattr(ex, "run_trial", counted)
-    assert verify_suite(suite, trials=4, max_n=10).passed
-    assert len(calls) == 4
-    with pytest.raises(ValueError, match="trials=5"):
-        verify_suite(suite, trials=5, max_n=10)
-    assert len(calls) == 4
+    monkeypatch.setattr(ex, "run_trial", stub)
+
+    def peak(trials):
+        cfg = config_from_dict(cfg_dict(
+            alpha_source={"kind": "uniform_random", "trials": trials},
+            output={"summary_json": str(tmp_path / "summary.json"),
+                    "trials_csv": str(tmp_path / "trials.csv")}))
+        tracemalloc.start()
+        try:
+            summary = run_sweep(cfg)
+            return tracemalloc.get_traced_memory()[1], summary
+        finally:
+            tracemalloc.stop()
+
+    # Warm up at full size: the interpreter's caches and free lists fill
+    # once, and are not the sweep's memory.
+    peak(4000)
+    (small, _), (large, summary) = peak(400), peak(4000)
+    assert large - small < 64 * 1024, (small, large)
+    assert summary.trials == 4000 and summary.violations == {"survivor_bound": 1334}
+    assert len(summary.violation_witnesses) == 20
+    with open(tmp_path / "trials.csv") as fh:
+        assert sum(1 for _ in fh) == 4001
+
+
+def test_errored_trial_is_a_witness_and_a_csv_row(monkeypatch, tmp_path):
+    import torusgaps.experiments as ex
+    real = ex.survivors_sweep
+
+    def failing(alphas, n, **kwargs):
+        if n == 15:
+            raise RuntimeError("boom")
+        return real(alphas, n, **kwargs)
+
+    monkeypatch.setattr(ex, "survivors_sweep", failing)
+    out_csv = tmp_path / "trials.csv"
+    summary = run_sweep(config_from_dict(cfg_dict(
+        alpha_source={"kind": "explicit", "alphas": [[0.3, 0.4]]},
+        output={"trials_csv": str(out_csv)})))
+    assert summary.trials == 2 and summary.errors == 1
+    assert summary.status == "FAILED" and summary.total_violations == 0
+    assert [(w["trial_id"], w["n"], w["error"]) for w in summary.violation_witnesses] \
+        == [(1, 15, "RuntimeError: boom")]
+    rows = read_csv(out_csv)
+    assert [row["error"] for row in rows] == ["", "RuntimeError: boom"]
+    assert rows[1]["survivor_count"] == "" and rows[1]["distinct_lengths"] == ""
 
 def test_run_sweep_defaults_stay_within_bounds():
     for m, bound in ((1, 3), (2, 11)):
