@@ -449,13 +449,16 @@ def run_trial(trial_id: int, alphas: list, n: int, *,
 
     if m == 1:
         # On the circle S is exactly the set of nearest-neighbour gaps of
-        # the circular spectrum that are at most 1/2 (zero gaps included:
-        # coincident points give zero-length edges, which always survive).
+        # the circular spectrum below 1/2 (zero gaps included: coincident
+        # points give zero-length edges, which always survive).  A gap of
+        # exactly 1/2 may be in S or not: its edge has two geodesics, and
+        # the wrap rule judges the one that misses 0, which may hold points.
         tol = max(epsilon, 1e-12)
-        spectrum = gap_spectrum(alphas[0], n, epsilon=epsilon, circular=True)
-        gaps = [g for g in spectrum.gaps if g <= 0.5 + tol]
-        if not (_gap_match(report.distinct_lengths, gaps, tol)
-                and _gap_match(gaps, report.distinct_lengths, tol)):
+        gaps = gap_spectrum(alphas[0], n, epsilon=epsilon, circular=True).gaps
+        up_to_half = [g for g in gaps if g <= 0.5 + tol]
+        below_half = [g for g in gaps if g < 0.5 - tol]
+        if not (_gap_match(report.distinct_lengths, up_to_half, tol)
+                and _gap_match(below_half, report.distinct_lengths, tol)):
             record.violations.append("gap_identity")
     return record
 

@@ -188,14 +188,20 @@ class _Cells:
         """Cover the cells of all the arcs at once, through one difference
         array: +1 at the start of each range and -1 at its end.  A wrapped
         arc is the range [first, last) of its axis less [lo, hi), which
-        leaves a depth <= 0 on the cells that are not live."""
+        leaves a depth <= 0 on the cells that are not live.  Only when the
+        arcs cover some cell not yet covered are ``prefix`` and ``total``
+        rebuilt; once the live cells fill up, most inserts cover none."""
         size = len(self.prefix)  # ranks run up to the cell count
         sign = np.where(wrap, -1, 1).ravel()
         depth = np.bincount(lo.ravel(), sign, size) - np.bincount(hi.ravel(), sign, size)
         wrapped = wrap.sum(axis=1)
         depth[self.first] += wrapped
         depth[self.last] -= wrapped
-        self.covered |= np.cumsum(depth)[:-1] > 0
+        new = np.cumsum(depth)[:-1] > 0
+        new &= ~self.covered
+        if not new.any():
+            return
+        self.covered |= new
         np.cumsum(self.covered, out=self.prefix[1:])
         self.total = (self.prefix[self.last] - self.prefix[self.first])[:, None]
 

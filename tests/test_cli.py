@@ -404,6 +404,19 @@ def test_sweep_command(capsys, tmp_path):
     assert json.loads(out_json.read_text())["trials"] == 4
 
 
+def test_sweep_accepts_a_circular_gap_of_one_half(capsys, tmp_path):
+    # At 1/4 and 3/4 with n = 3, and 1/8 and 7/8 with n = 5, one circular
+    # gap is exactly 1/2 and its edge is defeated: the m = 1 identity lets
+    # such a gap be in S or not.
+    config = {"m": 1, "alpha_source": {"kind": "rational_grid", "max_denominator": 8},
+              "n_values": [3, 5, 9]}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", str(cfg_path))
+    assert code == 0 and not err
+    assert "violations = 0" in out and "status = PASSED" in out
+
+
 
 # sha256 prefixes of stdout in table and json, computed before the sweep
 # and brute-force cross-checks shared one disagreement loop.

@@ -190,6 +190,26 @@ def test_empty_inserts_and_queries_are_ignored():
         assert ax.query([(0, 2), (1, 3), (2, 4), (0, 3)]) == [False, False, False, True]
 
 
+def test_an_insert_of_covered_cells_changes_nothing():
+    # Points 10, 20, 30, 50 on 64 steps.  Once [10, 30] and the wrap
+    # 50 -> 10 are in, [10, 20] and [20, 30] lie in covered cells: their
+    # insert leaves covered, prefix and total as they were, not rebuilt.
+    # [30, 50] adds its one cell, and all three follow.
+    for kind in KINDS:
+        ax = axis([10, 20, 30, 50], kind)
+        cells = ax.cells
+        ax.insert([(0, 2), (3, 0)])
+        covered, prefix, total = cells.covered.copy(), cells.prefix.copy(), cells.total
+        ax.insert([(0, 1), (1, 2)])
+        assert cells.total is total
+        assert (cells.covered == covered).all() and (cells.prefix == prefix).all()
+        ax.insert([(2, 3)])
+        added = cells.covered & ~covered
+        assert added.sum() == 1 and (cells.covered >= covered).all()
+        assert cells.prefix[1:].tolist() == np.cumsum(cells.covered).tolist()
+        assert cells.total[0, 0] == cells.prefix[-1] > total[0, 0]
+
+
 def test_narrow_cells_count_only_as_a_whole():
     # Under the coarse shrink (3/4 step at each end) two arcs overlap when
     # their common stretch exceeds 1.5 steps, however many cells it spans.

@@ -206,10 +206,15 @@ def test_run_trial_record_fields():
 
 
 def test_run_trial_records_gap_containment_for_1d(monkeypatch):
-    # On the circle S equals the circular gaps <= 1/2; coincident points
-    # of a rational instance add the zero length on both sides.
-    for alphas, n in (([0.618033], 30), ([0.98], 23), ([Fraction(2, 7)], 20)):
+    # On the circle S equals the circular gaps below 1/2; coincident points
+    # of a rational instance add the zero length on both sides.  At 1/4,
+    # 3/4 and 0.25 with n = 3 a gap is exactly 1/2 and its edge is defeated,
+    # which the identity allows, at every tolerance.
+    for alphas, n in (([0.618033], 30), ([0.98], 23), ([Fraction(2, 7)], 20),
+                      ([Fraction(1, 4)], 3), ([Fraction(3, 4)], 3)):
         assert run_trial(0, alphas, n).violations == []
+    for epsilon in (0, 1e-9, 1e-3):
+        assert run_trial(0, [0.25], 3, epsilon=epsilon).violations == []
     # A spectrum with one gap changed breaks the identity, and the sweep
     # summary serializes the instance as the witness.
     import torusgaps.experiments as ex
@@ -230,6 +235,23 @@ def test_run_trial_records_gap_containment_for_1d(monkeypatch):
     assert witness["trial_id"] == 7 and witness["n"] == 30
     assert witness["alphas"] == [0.618033]
     assert witness["violations"] == ["gap_identity"]
+
+
+def test_a_gap_below_one_half_missing_from_s_is_a_gap_identity_violation(monkeypatch):
+    # Only a gap of exactly 1/2 may be missing from S: a sweep that drops
+    # the shortest length (a gap far below 1/2) breaks the identity.
+    import torusgaps.experiments as ex
+    real = ex.survivors_sweep
+
+    def dropped(*args, **kwargs):
+        report = real(*args, **kwargs)
+        assert report.distinct_lengths[0] < 0.4
+        del report.distinct_lengths[0]
+        return report
+
+    monkeypatch.setattr(ex, "survivors_sweep", dropped)
+    for alphas, n in (([0.618033], 30), ([0.3], 9), ([Fraction(2, 7)], 20)):
+        assert run_trial(0, alphas, n).violations == ["gap_identity"]
 
 
 def test_degenerate_rational_instance_completes():

@@ -17,13 +17,17 @@ A snippet that no longer occurs exactly once fails its test: a refactor of
 the engines updates the catalogue with them.  A mutant that its family does
 not kill is a gap in the tests: add the instances that kill it, as
 ``HALF_COORDINATES`` and ``FLOATS_OF_RATIONALS`` were added, rather than
-dropping it.
+dropping it.  A mutant that changes no answer is listed in ``EQUIVALENT``
+with the reason, and must pass every family of its module.
 """
 
 import importlib
+import io
+import math
 import random
 import sys
 import types
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -112,6 +116,26 @@ def points_on_the_circle(cases):
     return family
 
 
+def bounds_met_exactly_pass(cli):
+    """A command whose value equals its bound exits 0: the golden-ratio
+    rotation at n = 30 has three gaps and three survivor lengths."""
+    bad = []
+    for argv in (["gaps", "0.618033", "30"], ["survivors", "0.618033", "30"]):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            if cli.main(argv) != 0:
+                bad.append(argv)
+    return bad
+
+
+def engine_errors_are_counted(ex):
+    """A generator the engines refuse is one counted error of the
+    cross-check, as well as its witness."""
+    alphas = [[math.nan], [0.3]]
+    report = ex.cross_check(ex.ExperimentConfig(m=1, alpha_source=ex.Explicit(alphas),
+                                                n_values=[5]))
+    return [] if report.errors == len(report.mismatches) == 1 else alphas
+
+
 # Each family with the module it reads.
 FAMILIES = {
     "generic": ("tournament", sweep_equals_brute(_seeded_instances(15, 40, 3, 40))),
@@ -123,6 +147,8 @@ FAMILIES = {
     "profile_reference": ("denominators", profile_follows_reference),
     # -3e-17 mod 1 rounds to exactly 1.0.
     "circle_guard": ("gaps", points_on_the_circle([(-3e-17, 4)])),
+    "bounds_met_exactly": ("cli", bounds_met_exactly_pass),
+    "engine_errors": ("experiments", engine_errors_are_counted),
 }
 
 # name: (the family that must kill it, the module it is planted in, snippet,
@@ -137,6 +163,16 @@ MUTANTS = {
     "insert_without_first_last": (
         "generic", "tournament",
         "        depth[self.first] += wrapped\n        depth[self.last] -= wrapped\n",
+        ""),
+    # tournament._Cells.insert: an insert skipped unless every cell is new.
+    "insert_skipped_unless_all_cells_are_new": (
+        "generic", "tournament",
+        "if not new.any():",
+        "if not new.all():"),
+    # tournament._Cells.insert: the newly covered cells never marked covered.
+    "insert_without_marking_covered": (
+        "generic", "tournament",
+        "        self.covered |= new\n",
         ""),
     # tournament._sweep: each q inserted before the rest of its group is judged.
     "insert_each_q_before_its_group_is_judged": (
@@ -205,6 +241,28 @@ MUTANTS = {
         "half_coordinates", "numerics",
         "brk[1:-1] = ranked[1:] - ranked[:-1] > tol",
         "brk[1:-1] = ranked[1:] - ranked[:-1] >= tol"),
+    # cli._bound_status: a value equal to its bound read as a violation.
+    "bound_met_is_a_violation": (
+        "bounds_met_exactly", "cli",
+        "if row[1] > row[2]]",
+        "if row[1] >= row[2]]"),
+    # experiments._agreement: an engine error witnessed but not counted.
+    "agreement_errors_uncounted": (
+        "engine_errors", "experiments",
+        "            report.errors += 1\n",
+        ""),
+}
+
+# Mutants that no family can kill, because they change no answer: name:
+# (the module, snippet, replacement, why the answers stay the same).
+EQUIVALENT = {
+    # tournament._Cells.insert: every cell the arcs cover counted as new.
+    "insert_new_cells_not_masked": (
+        "tournament",
+        "        new &= ~self.covered\n",
+        "",
+        "only the skip is lost: an insert whose cells are all covered already "
+        "rebuilds prefix and total from an unchanged covered"),
 }
 
 
@@ -256,6 +314,15 @@ def test_mutant_is_killed_by_its_family(mutation):
     name, check = FAMILIES[family]
     assert check(mutant(planted_in, snippet, replacement, name)), \
         f"{mutation} survives {family}"
+
+
+@pytest.mark.parametrize("mutation", sorted(EQUIVALENT))
+def test_equivalent_mutant_passes_every_family_of_its_module(mutation):
+    planted_in, snippet, replacement, _ = EQUIVALENT[mutation]
+    module = mutant(planted_in, snippet, replacement)
+    for family, (name, check) in sorted(FAMILIES.items()):
+        if name == planted_in:
+            assert check(module) == [], family
 
 
 def test_a_stale_snippet_fails():
