@@ -15,8 +15,8 @@ The named verify suites are uniform-random configs (n uniform in
 [2, max_n]) read through the same trial stream: ``planar``, ``higher`` and
 the survivor half of ``one_d`` are ``run_sweep`` summaries, ``oracle`` is
 one ``cross_check`` per dimension, and the gap half of ``one_d`` and
-``lemmas`` iterate the config's trials directly.  Only ``classical`` draws
-its own (multi-parameter) instances.
+``lemmas`` iterate the config's trials directly.  ``classical`` and
+``dual_mode`` (rationals, exact against float) draw their own instances.
 
 Determinism: trial i draws from ``numpy.random.default_rng([seed, i])``,
 so a config's seed fully fixes the trial stream and trials are
@@ -53,7 +53,6 @@ __all__ = [
     "TrialRecord",
     "VerifyResult",
     "cross_check",
-    "dual_mode_agreement",
     "load_config",
     "run_sweep",
     "verify_suite",
@@ -498,7 +497,7 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
 class CrossCheckReport:
     """Disagreements between two computations that must agree, one witness
     per disagreeing or failing trial: sweep against brute force
-    (``cross_check``) or exact against floating mode (``dual_mode_agreement``)."""
+    (``cross_check``) or exact against floating mode (suite ``dual_mode``)."""
 
     trials: int = 0
     mismatches: list[dict] = field(default_factory=list)
@@ -570,6 +569,13 @@ class VerifyResult:
     def check(self, label: str, ok: bool, **info) -> None:
         self.checks.append((label, bool(ok), info))
 
+    def agreement(self, label: str, report: CrossCheckReport) -> None:
+        """A cross-check as one check, naming its errors and first witness once it fails."""
+        info = {} if report.passed else {"errors": report.errors,
+                                         "witness": report.mismatches[0]}
+        self.check(label, report.passed,
+                   mismatches=len(report.mismatches) - report.errors, **info)
+
 
 def _uniform_config(m: int, trials: int, seed: int, max_n: int,
                     epsilon: float) -> ExperimentConfig:
@@ -604,7 +610,8 @@ def _suite_one_d(trials: int, seed: int, epsilon: float, max_n: int) -> VerifyRe
     res.check(f"1D survivor bound over {surv_trials} trials",
               not summary.errors and summary.total_violations == mismatches,
               max_distinct=summary.max_distinct)
-    res.check(f"1D S == circular gaps <= 1/2 over {surv_trials} trials",
+    res.check(f"1D S == circular gaps < 1/2 (a gap of 1/2 optional) "
+              f"over {surv_trials} trials",
               mismatches == 0, mismatches=mismatches)
     res.stats["max_distinct_survivors"] = summary.max_distinct
     return res
@@ -689,52 +696,10 @@ def _suite_oracle(trials: int, seed: int, epsilon: float, max_n: int) -> VerifyR
     reports = {m: cross_check(_uniform_config(m, trials, seed + m, max_n, epsilon))
                for m in (3, 2, 1)}
     for m in (1, 2, 3):
-        r = reports[m]  # a failing check names its errors and first witness
-        info = {} if r.passed else {"errors": r.errors, "witness": r.mismatches[0]}
-        res.check(f"sweep == brute on {trials} trials (m={m}, n <= {max_n})",
-                  r.passed, mismatches=len(r.mismatches) - r.errors, **info)
+        res.agreement(f"sweep == brute on {trials} trials (m={m}, n <= {max_n})",
+                      reports[m])
     return res
 
-
-# name: (run(trials, seed, epsilon[, max_n]), default trials, default max_n).
-# A max_n of None marks a suite that draws its own n and refuses one.
-_SUITES = {
-    "one_d": (_suite_one_d, 10_000, 500),
-    "planar": (partial(_survivor_suite, "planar", 2), 1_000, 300),
-    "higher": (partial(_survivor_suite, "higher", 3), 300, 120),
-    "lemmas": (_suite_lemmas, 1_000, 300),
-    "classical": (_suite_classical, 500, None),
-    "oracle": (_suite_oracle, 200, 120),
-}
-
-VERIFY_SUITES = tuple(_SUITES)
-
-
-def verify_suite(name: str, *, trials: int | None = None, seed: int = 0,
-                 max_n: int | None = None, epsilon: float = EPSILON) -> VerifyResult:
-    """Run one named verification suite at the given scale."""
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; pick one of {', '.join(VERIFY_SUITES)}")
-    run, d_trials, d_max_n = _SUITES[name]
-    if max_n is not None and d_max_n is None:
-        raise ValueError(f"suite {name!r} draws its own n and takes no max_n")
-    if max_n is not None and max_n < 2:
-        raise ValueError(f"max_n must be >= 2, got {max_n}")
-    trials = d_trials if trials is None else trials
-    for key, value, least in (("trials", trials, 1), ("seed", seed, 0)):
-        if value < least:
-            raise ValueError(f"{key} must be >= {least}, got {value}")
-    # The engines refuse a bad epsilon too, but one trial at a time: checked
-    # here, it is one usage error before any trial runs.
-    tolerance(epsilon, exact=False)
-    if d_max_n is None:
-        return run(trials, seed, epsilon)
-    return run(trials, seed, epsilon, d_max_n if max_n is None else max_n)
-
-
-# ---------------------------------------------------------------------------
-# Exact-vs-floating agreement
-# ---------------------------------------------------------------------------
 
 def _profile_outcome(p) -> dict:
     """The mode-independent part of an approximation profile: every
@@ -752,24 +717,20 @@ def _profile_outcome(p) -> dict:
     }
 
 
-def dual_mode_agreement(instances: int = 200, *, seed: int = 0,
-                        max_denominator: int = 50, max_n: int = 40,
-                        epsilon: float = EPSILON) -> CrossCheckReport:
-    """Rational instances run in exact mode and as floats must produce the
-    same survivor edge set, the same distinct lengths, and the same
-    approximation profile: q1, both q2 variants, the q1_perp pool, the
-    primary and secondary denominators with their signs, the undercut count
-    and both distinct-length counts."""
-    for name, value, least in (("instances", instances, 1), ("max_n", max_n, 5),
-                               ("max_denominator", max_denominator, 2),
-                               ("seed", seed, 0)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+def _suite_dual_mode(trials: int, seed: int, epsilon: float, max_n: int) -> VerifyResult:
+    """Rationals (m <= 2, denominators <= 50, n uniform in [5, max_n]) run
+    in exact mode and as floats must give the same survivor edge set, the
+    same distinct lengths, and the same approximation profile: q1, both q2
+    variants, the q1_perp pool, the primary and secondary denominators with
+    their signs, the undercut count and both distinct-length counts."""
+    if max_n < 5:
+        raise ValueError(f"max_n must be >= 5, got {max_n}")
     if not points_fit(max_n, 2):
         raise too_large(max_n, 2, "points")
+    max_denominator = 50
 
     def draws():
-        for i in range(instances):
+        for i in range(trials):
             rng = _trial_rng(seed, i)
             m = 1 + int(rng.integers(2))
             n = int(rng.integers(5, max_n + 1))
@@ -791,4 +752,42 @@ def dual_mode_agreement(instances: int = 200, *, seed: int = 0,
                     "float_survivors": float_rep.survivors,
                     "exact_profile": prof_e, "float_profile": prof_f}
 
-    return _agreement(draws(), disagreement)
+    res = VerifyResult("dual_mode")
+    res.agreement(f"exact == float on {trials} rational trials (q <= {max_denominator}, "
+                  f"n <= {max_n})", _agreement(draws(), disagreement))
+    return res
+
+
+# name: (run(trials, seed, epsilon[, max_n]), default trials, default max_n).
+# A max_n of None marks a suite that draws its own n and refuses one.
+_SUITES = {
+    "one_d": (_suite_one_d, 10_000, 500),
+    "planar": (partial(_survivor_suite, "planar", 2), 1_000, 300),
+    "higher": (partial(_survivor_suite, "higher", 3), 300, 120),
+    "lemmas": (_suite_lemmas, 1_000, 300),
+    "classical": (_suite_classical, 500, None),
+    "oracle": (_suite_oracle, 200, 120),
+    "dual_mode": (_suite_dual_mode, 200, 40),
+}
+
+VERIFY_SUITES = tuple(_SUITES)
+
+
+def verify_suite(name: str, *, trials: int | None = None, seed: int = 0,
+                 max_n: int | None = None, epsilon: float = EPSILON) -> VerifyResult:
+    """Run one named verification suite at the given scale."""
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; pick one of {', '.join(VERIFY_SUITES)}")
+    run, d_trials, d_max_n = _SUITES[name]
+    if max_n is not None and d_max_n is None:
+        raise ValueError(f"suite {name!r} draws its own n and takes no max_n")
+    trials = d_trials if trials is None else trials
+    max_n = d_max_n if max_n is None else max_n  # None for a suite that draws its own n
+    for key, value, least in (("max_n", max_n, 2), ("trials", trials, 1),
+                              ("seed", seed, 0)):
+        if value is not None and value < least:
+            raise ValueError(f"{key} must be >= {least}, got {value}")
+    # The engines refuse a bad epsilon too, but one trial at a time: checked
+    # here, it is one usage error before any trial runs.
+    tolerance(epsilon, exact=False)
+    return run(trials, seed, epsilon) if max_n is None else run(trials, seed, epsilon, max_n)

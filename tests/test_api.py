@@ -50,7 +50,6 @@ MODULE_PUBLIC = {
         "TrialRecord",
         "VerifyResult",
         "cross_check",
-        "dual_mode_agreement",
         "load_config",
         "run_sweep",
         "verify_suite",

@@ -5,6 +5,7 @@ import pytest
 
 from torusgaps import numerics
 from torusgaps.cli import main
+from torusgaps.experiments import VERIFY_SUITES
 
 
 def run_cli(capsys, *argv):
@@ -225,7 +226,7 @@ def test_sweep_config_with_too_large_n_is_a_usage_error(capsys, tmp_path):
 
 
 
-@pytest.mark.parametrize("suite", ["planar", "oracle"])
+@pytest.mark.parametrize("suite", ["planar", "oracle", "dual_mode"])
 def test_verify_refuses_a_negative_seed(capsys, monkeypatch, suite):
     # numpy would refuse it at the first trial, naming nothing.
     import torusgaps.experiments as ex
@@ -258,6 +259,33 @@ def test_verify_oracle_names_errors_and_a_witness(capsys, monkeypatch):
         witness = info["witness"]
         assert witness["n"] % 2 == 1 and len(witness["alphas"]) >= 1
         assert witness["error"] == f"RuntimeError: odd n={witness['n']}"
+
+
+def test_verify_dual_mode_names_errors_and_a_witness(capsys, monkeypatch):
+    # Float runs that lose their last survivor disagree with the exact ones,
+    # and the exact run of trial 1 raises: the table names both counts and
+    # the first witness, and the run exits 2.
+    import dataclasses
+    import torusgaps.experiments as ex
+    real = ex.survivors_sweep
+    calls = []
+
+    def skewed(alphas, n, **kwargs):
+        calls.append(n)
+        if len(calls) == 3:
+            raise RuntimeError("boom")
+        report = real(alphas, n, **kwargs)
+        if isinstance(alphas[0], float):
+            report = dataclasses.replace(report, survivors=report.survivors[:-1])
+        return report
+
+    monkeypatch.setattr(ex, "survivors_sweep", skewed)
+    code, out, err = run_cli(capsys, "verify", "dual_mode", "--trials", "3")
+    assert code == 2 and not err
+    line, = out.splitlines()
+    assert line.startswith("FAIL  exact == float on 3 rational trials (q <= 50, n <= 40)"
+                           "  mismatches=2  errors=1  witness={'trial_id': 0, 'alphas': [")
+    assert f"'n': {calls[0]}, 'exact_survivors': [" in line
 
 
 @pytest.mark.parametrize("command", ["survivors", "denominators"])
@@ -419,15 +447,22 @@ def test_sweep_accepts_a_circular_gap_of_one_half(capsys, tmp_path):
 
 
 # sha256 prefixes of stdout in table and json, computed before the sweep
-# and brute-force cross-checks shared one disagreement loop.
+# and brute-force cross-checks shared one disagreement loop; one_d re-pinned
+# when its identity check's label came to state the rule for a gap of 1/2,
+# and dual_mode pinned when the exact-vs-float agreement became a suite.
 VERIFY_DIGESTS = {
     "classical": "ece57170841f37bc 1c96e8149f0b8e0a",
+    "dual_mode": "25c2a9c4e0f3217c f4055feb49c7b4f9",
     "higher": "a936fc32c767d163 61484487585be14d",
     "lemmas": "603a95ed0ae9ceb6 102031eec51fa19b",
-    "one_d": "ddab1bdd6143a672 f00ed86d63734274",
+    "one_d": "800e9349f79b10ea e360cf4b313b3515",
     "oracle": "c23860ae872b7f1a ca92f1c48e60093b",
     "planar": "d6081103763324fb 9e5ef3a898d20c6d",
 }
+
+
+def test_every_verify_suite_is_pinned():
+    assert set(VERIFY_DIGESTS) == set(VERIFY_SUITES)
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])

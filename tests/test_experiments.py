@@ -8,13 +8,13 @@ import pytest
 
 from torusgaps.experiments import (
     QUADRATIC_IRRATIONALS,
+    VERIFY_SUITES,
     ConfigError,
     SweepSummary,
     TrialRecord,
     config_from_dict,
     cross_check,
     csv_header,
-    dual_mode_agreement,
     run_sweep,
     run_trial,
     verify_suite,
@@ -387,42 +387,44 @@ def test_verify_suite_rejects_unknown_name():
         verify_suite("bogus")
 
 
-@pytest.mark.parametrize("call, name", [
-    pytest.param(lambda: verify_suite("planar", trials=2, max_n=1), "max_n",
-                 id="planar-max_n"),
-    pytest.param(lambda: verify_suite("classical", trials=2, max_n=1), "max_n",
+_NO_MAX_N = r"suite 'classical' draws its own n and takes no max_n"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: verify_suite("planar", trials=2, max_n=1),
+                 "max_n must be >= 2, got 1", id="planar-max_n"),
+    pytest.param(lambda: verify_suite("classical", trials=2, max_n=1), _NO_MAX_N,
                  id="classical-max_n"),
-    pytest.param(lambda: verify_suite("classical", trials=2, max_n=50), "max_n",
+    pytest.param(lambda: verify_suite("classical", trials=2, max_n=50), _NO_MAX_N,
                  id="classical-any-max_n"),
-    pytest.param(lambda: verify_suite("planar", trials=-3), "trials",
+    pytest.param(lambda: verify_suite("planar", trials=-3), "trials must be >= 1, got -3",
                  id="planar-trials"),
-    pytest.param(lambda: verify_suite("oracle", trials=0), "trials",
+    pytest.param(lambda: verify_suite("oracle", trials=0), "trials must be >= 1, got 0",
                  id="oracle-trials"),
-    pytest.param(lambda: verify_suite("classical", trials=0), "trials",
+    pytest.param(lambda: verify_suite("classical", trials=0), "trials must be >= 1, got 0",
                  id="classical-trials"),
-    pytest.param(lambda: dual_mode_agreement(instances=0), "instances",
-                 id="dual_mode-instances"),
-    pytest.param(lambda: dual_mode_agreement(instances=2, max_n=4), "max_n",
-                 id="dual_mode-max_n"),
-    pytest.param(lambda: dual_mode_agreement(instances=2, max_denominator=1),
-                 "max_denominator", id="dual_mode-max_denominator"),
-    pytest.param(lambda: dual_mode_agreement(instances=2, seed=-1), "seed",
-                 id="dual_mode-seed"),
-    pytest.param(lambda: verify_suite("planar", trials=2, seed=-1), "seed",
-                 id="planar-seed"),
-    pytest.param(lambda: verify_suite("planar", trials=2, epsilon=math.nan), "epsilon",
-                 id="planar-epsilon-nan"),
-    pytest.param(lambda: verify_suite("oracle", trials=2, epsilon=-1e-3), "epsilon",
+    pytest.param(lambda: verify_suite("dual_mode", trials=0), "trials must be >= 1, got 0",
+                 id="dual_mode-trials"),
+    # The suite draws n from [5, max_n].
+    pytest.param(lambda: verify_suite("dual_mode", trials=2, max_n=4),
+                 "max_n must be >= 5, got 4", id="dual_mode-max_n"),
+    pytest.param(lambda: verify_suite("dual_mode", trials=2, seed=-1),
+                 "seed must be >= 0, got -1", id="dual_mode-seed"),
+    pytest.param(lambda: verify_suite("planar", trials=2, seed=-1),
+                 "seed must be >= 0, got -1", id="planar-seed"),
+    pytest.param(lambda: verify_suite("planar", trials=2, epsilon=math.nan),
+                 "epsilon must be finite and >= 0, got nan", id="planar-epsilon-nan"),
+    pytest.param(lambda: verify_suite("oracle", trials=2, epsilon=-1e-3),
+                 "epsilon must be finite and >= 0, got -0.001",
                  id="oracle-epsilon-negative"),
 ])
-def test_verify_suite_rejects_max_n_below_two(call, name):
+def test_verify_suite_rejects_max_n_below_two(call, message):
     # A suite over no trials would pass vacuously; it is a usage error.
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
 
-@pytest.mark.parametrize("suite", ["one_d", "planar", "higher", "lemmas",
-                                   "classical", "oracle"])
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
 def test_verify_suites_pass_at_smoke_scale(suite):
     # classical draws its own n and refuses a max_n.
     sizes = {} if suite == "classical" else {"max_n": 40}
@@ -432,9 +434,10 @@ def test_verify_suites_pass_at_smoke_scale(suite):
 
 
 def test_dual_mode_agreement_smoke():
-    report = dual_mode_agreement(instances=25, seed=5)
-    assert report.passed, report.mismatches[:1]
-    assert report.trials == 25
+    result = verify_suite("dual_mode", trials=25, seed=5)
+    assert result.passed, result.checks
+    assert result.checks == [("exact == float on 25 rational trials (q <= 50, n <= 40)",
+                              True, {"mismatches": 0})]
 
 
 def test_dual_mode_agreement_compares_whole_profile(monkeypatch):
@@ -450,12 +453,12 @@ def test_dual_mode_agreement_compares_whole_profile(monkeypatch):
         return profile
 
     monkeypatch.setattr(ex, "approximation_profile", skewed)
-    report = dual_mode_agreement(instances=3, seed=5)
-    assert len(report.mismatches) == 3
-    witness = report.mismatches[0]
+    (_, ok, info), = verify_suite("dual_mode", trials=3, seed=5).checks
+    assert not ok and info["mismatches"] == 3 and info["errors"] == 0
+    witness = info["witness"]
+    assert witness["trial_id"] == 0
     assert (witness["float_profile"]["primary_distinct"]
             == witness["exact_profile"]["primary_distinct"] + 1)
-
 
 
 def test_dual_mode_agreement_records_engine_errors(monkeypatch):
@@ -472,11 +475,13 @@ def test_dual_mode_agreement_records_engine_errors(monkeypatch):
         return real(alphas, n, **kwargs)
 
     monkeypatch.setattr(ex, "survivors_sweep", failing)
-    report = dual_mode_agreement(instances=4, seed=5)
-    assert report.trials == 4 and report.errors == 1 and not report.passed
+    (_, ok, info), = verify_suite("dual_mode", trials=4, seed=5).checks
+    assert len(calls) == 7  # two runs per trial, one for the trial that raised
     alphas, n = calls[2]
-    assert report.mismatches == [{"trial_id": 1, "alphas": [str(a) for a in alphas],
-                                  "n": n, "error": "RuntimeError: boom"}]
+    assert not ok and info == {
+        "mismatches": 0, "errors": 1,
+        "witness": {"trial_id": 1, "alphas": [str(a) for a in alphas], "n": n,
+                    "error": "RuntimeError: boom"}}
 
 
 def test_dual_mode_agreement_checks_the_size_rule_first(monkeypatch):
@@ -484,7 +489,7 @@ def test_dual_mode_agreement_checks_the_size_rule_first(monkeypatch):
     monkeypatch.setattr(ex, "survivors_sweep",
                         lambda *args, **kwargs: pytest.fail("a trial ran"))
     with pytest.raises(ValueError, match="n=1000000000 is too large at m=2"):
-        dual_mode_agreement(instances=2, max_n=10 ** 9)
+        verify_suite("dual_mode", trials=2, max_n=10 ** 9)
 
 
 def test_sweep_memory_does_not_grow_with_trials(monkeypatch, tmp_path):
